@@ -12,7 +12,6 @@ import numpy as np
 
 from pcrank import (
     complete_matrix,
-    degree,
     format_ranking,
     graph_of,
     ordinal_ranking,
@@ -41,9 +40,10 @@ print("parsed:", matrix)
 report = validate(matrix)
 print(f"valid: {report.ok}, {report.present_pairs} of {report.total_pairs} comparisons present")
 
-graph = graph_of(matrix)
-print("graph edges (0-based):", sorted(graph.edges))
-print("degrees:", [degree(graph, i) for i in range(matrix.n)])
+# The comparison graph is a boolean adjacency array: one edge per compared pair.
+adj = graph_of(matrix)
+print("graph edges (0-based):", np.argwhere(np.triu(adj)).tolist())
+print("degrees:", adj.sum(axis=1).tolist())
 
 # The geometric-mean method treats each missing entry as the unknown ratio
 # w_i / w_j and solves one small linear system for the log-weights.

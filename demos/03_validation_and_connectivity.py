@@ -69,9 +69,10 @@ for count, (i, j) in enumerate(pairs, start=1):
     w[i, j] = w[j, i] = np.nan
     values = w
     m = PCMatrix(values)
-    g = graph_of(m)
-    if not is_connected(g):
-        print(f"  after deleting {count} pairs: DISCONNECTED, components {connected_components(g)}")
+    adj = graph_of(m)
+    if not is_connected(adj):
+        parts = connected_components(adj)
+        print(f"  after deleting {count} pairs: DISCONNECTED, components {parts}")
         break
     weights = rank_gm(m).weights
     print(f"  after deleting {count} pairs: still connected, weights "

@@ -12,6 +12,7 @@ in shell pipelines.
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,7 +38,8 @@ assert parse_matrix(serialize_matrix(matrix)).equals(matrix)
 
 
 def run(*argv: str) -> subprocess.CompletedProcess:
-    proc = subprocess.run(["pcrank", *argv], capture_output=True, text=True)
+    # python -m pcrank is the pcrank script, run by this interpreter.
+    proc = subprocess.run([sys.executable, "-m", "pcrank", *argv], capture_output=True, text=True)
     print(f"$ pcrank {' '.join(argv)}   -> exit {proc.returncode}")
     print(proc.stdout or proc.stderr)
     return proc

@@ -12,29 +12,23 @@ from .matrix import (
     InvalidMatrixError,
     ParseError,
     PCMatrix,
+    Problem,
     ShapeError,
     ValidationReport,
     Violation,
     default_labels,
+    log_row_sums,
     parse_matrix,
+    prepare,
     repair_reciprocal,
     require_valid,
     serialize_matrix,
     validate,
 )
-from .graph import (
-    ComparisonGraph,
-    adjacency_matrix,
-    connected_components,
-    degree,
-    degree_matrix,
-    graph_of,
-    is_connected,
-    laplacian,
-)
+from .graph import connected_components, graph_of, is_connected, laplacian
 from .linalg import ConvergenceError, SingularMatrixError, power_iteration, solve
 from .priority import Normalization, PriorityVector, normalize
-from .gm import GmSystem, build_system, complete_matrix, log_row_sums, rank_gm
+from .gm import GmSystem, build_system, complete_matrix, rank_gm
 from .lls import LlsSystem, build_lls_system, rank_lls
 from .harker import HarkerSystem, build_harker, rank_harker
 from .metrics import (
@@ -65,11 +59,10 @@ __all__ = [
     "require_valid",
     "repair_reciprocal",
     "default_labels",
-    "ComparisonGraph",
+    "Problem",
+    "prepare",
+    "log_row_sums",
     "graph_of",
-    "degree",
-    "degree_matrix",
-    "adjacency_matrix",
     "laplacian",
     "is_connected",
     "connected_components",
@@ -84,7 +77,6 @@ __all__ = [
     "build_system",
     "rank_gm",
     "complete_matrix",
-    "log_row_sums",
     "LlsSystem",
     "build_lls_system",
     "rank_lls",

@@ -16,12 +16,15 @@ import numpy as np
 from .gm import complete_matrix, rank_gm
 from .harker import build_harker, rank_harker
 from .linalg import ConvergenceError
-from .lls import build_lls_system, rank_lls
+from .lls import rank_lls
 from .matrix import (
     DEFAULT_TOL,
+    InvalidMatrixError,
     PCMatrix,
+    Problem,
     ValidationReport,
     parse_matrix,
+    prepare,
     repair_reciprocal,
     serialize_matrix,
     validate,
@@ -118,26 +121,26 @@ def _report_json(report: MethodReport, labels: tuple[str, ...]) -> dict:
     }
 
 
-def _diagnostics(method: str, m: PCMatrix, vector: PriorityVector, tol: float) -> dict:
+def _diagnostics(method: str, p: Problem, vector: PriorityVector) -> dict:
     x = np.log(vector.weights)
     if method in ("gm", "lls"):
         # The Laplacian residual ignores the constant log-shift that
         # normalization introduces, so it works for both solvers as-is.
-        system = build_lls_system(m, tol=tol)
-        return {"linear_residual": float(np.abs(system.laplacian @ x - system.rhs).max())}
-    b = build_harker(m, tol).matrix
+        return {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
+    b = build_harker(p).matrix
     v = vector.weights / vector.weights.sum()
     lam = float((b @ v).sum())
     return {"lambda_max": lam, "eigen_residual": float(np.abs(b @ v - lam * v).max())}
 
 
-def _cmd_rank(m: PCMatrix, args) -> int:
+def _cmd_rank(p: Problem, args) -> int:
+    m = p.matrix
     try:
-        vector = _RANKERS[args.method](m, args.normalize, tol=args.tol)
+        vector = _RANKERS[args.method](p, args.normalize)
     except ConvergenceError as e:
         print(f"pcrank: {args.method}: {e}", file=sys.stderr)
         return 1
-    report = method_report(args.method, m, vector, _diagnostics(args.method, m, vector, args.tol))
+    report = method_report(args.method, m, vector, _diagnostics(args.method, p, vector))
     if args.format == "structured":
         record = {"command": "rank", "labels": list(m.labels)}
         record.update(_report_json(report, m.labels))
@@ -175,8 +178,8 @@ def _cmd_validate(m: PCMatrix, args) -> int:
     return 1
 
 
-def _cmd_complete(m: PCMatrix, args) -> int:
-    completed = complete_matrix(m, tol=args.tol)
+def _cmd_complete(p: Problem, args) -> int:
+    completed = complete_matrix(p)
     if args.format == "structured":
         print(
             json.dumps(
@@ -192,16 +195,17 @@ def _cmd_complete(m: PCMatrix, args) -> int:
     return 0
 
 
-def _cmd_compare(m: PCMatrix, args) -> int:
+def _cmd_compare(p: Problem, args) -> int:
+    m = p.matrix
     reports: list[MethodReport] = []
     failures: list[tuple[str, str]] = []
     for method, ranker in _RANKERS.items():
         try:
-            vector = ranker(m, args.normalize, tol=args.tol)
+            vector = ranker(p, args.normalize)
         except ConvergenceError as e:
             failures.append((method, str(e)))
             continue
-        reports.append(method_report(method, m, vector, _diagnostics(method, m, vector, args.tol)))
+        reports.append(method_report(method, m, vector, _diagnostics(method, p, vector)))
 
     max_diff = 0.0
     for a in range(len(reports)):
@@ -251,16 +255,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         return _cmd_validate(matrix, args)
 
-    report = validate(matrix, args.tol)
-    if not report.ok:
-        _print_violations(report, sys.stderr)
+    try:
+        problem = prepare(matrix, args.tol)
+    except InvalidMatrixError as e:
+        _print_violations(e.report, sys.stderr)
         return 1
 
     if args.command == "rank":
-        return _cmd_rank(matrix, args)
+        return _cmd_rank(problem, args)
     if args.command == "complete":
-        return _cmd_complete(matrix, args)
-    return _cmd_compare(matrix, args)
+        return _cmd_complete(problem, args)
+    return _cmd_compare(problem, args)
 
 
 def run() -> None:

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import graph_of, laplacian
 from .linalg import SingularMatrixError, solve
-from .matrix import DEFAULT_TOL, PCMatrix, require_valid
+from .matrix import DEFAULT_TOL, PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
-__all__ = ["GmSystem", "build_system", "rank_gm", "complete_matrix", "log_row_sums"]
+__all__ = ["GmSystem", "build_system", "rank_gm", "complete_matrix"]
 
 
 @dataclass(frozen=True)
@@ -44,48 +43,29 @@ class GmSystem:
         return self.rhs.size
 
 
-def log_row_sums(m: PCMatrix) -> np.ndarray:
-    """Per-row sum of ln over the present entries (the unit diagonal adds 0)."""
-    present = ~m.missing_mask
-    safe = np.where(present, m.values, 1.0)
-    return np.where(present, np.log(safe), 0.0).sum(axis=1)
-
-
-def build_system(m: PCMatrix, tol: float = DEFAULT_TOL) -> GmSystem:
-    """Assemble the log-weight system for a valid, connected matrix.
+def build_system(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> GmSystem:
+    """Assemble the log-weight system (L + J) x = b for a valid, connected matrix.
 
     Raises DisconnectedGraphError / InvalidMatrixError via validation.
     """
-    require_valid(m, tol)
-    n = m.n
-    missing = m.missing_mask.copy()
-    np.fill_diagonal(missing, False)
-    counts = missing.sum(axis=1)
-
-    mat = np.where(missing, 1.0, 0.0)
-    np.fill_diagonal(mat, n - counts)
-    rhs = log_row_sums(m)
-
-    # Equivalent closed form; tripping this means the assembly above is buggy.
-    assert np.array_equal(mat, laplacian(graph_of(m)) + np.ones((n, n)))
-
-    return GmSystem(mat, rhs, counts)
+    p = prepare(m, tol)
+    return GmSystem(p.laplacian + 1.0, p.log_row_sums, p.missing.sum(axis=1))
 
 
-def _solve_log_weights(m: PCMatrix, tol: float) -> np.ndarray:
+def _solve_log_weights(m: PCMatrix | Problem, tol: float) -> np.ndarray:
     system = build_system(m, tol)
     try:
         return solve(system.matrix, system.rhs, spd_hint=True)
     except SingularMatrixError as e:  # impossible for connected graphs
         raise RuntimeError(
-            f"singular geometric-mean system for a validated matrix (n={m.n}, "
+            f"singular geometric-mean system for a validated matrix (n={system.n}, "
             f"missing per row {system.missing_counts.tolist()}); "
             "this indicates corrupted input or an internal bug"
         ) from e
 
 
 def rank_gm(
-    m: PCMatrix, normalization: Normalization = "sum", tol: float = DEFAULT_TOL
+    m: PCMatrix | Problem, normalization: Normalization = "sum", tol: float = DEFAULT_TOL
 ) -> PriorityVector:
     """Geometric-mean priority vector of an incomplete PC matrix.
 
@@ -94,14 +74,15 @@ def rank_gm(
     return normalize(np.exp(_solve_log_weights(m, tol)), normalization)
 
 
-def complete_matrix(m: PCMatrix, tol: float = DEFAULT_TOL) -> PCMatrix:
+def complete_matrix(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> PCMatrix:
     """Fill every missing entry with the weight ratio w_i / w_j.
 
     Ratios come from unnormalized log-weight differences, exp(x_i - x_j), so
     reciprocity holds to machine precision.  Present entries are unchanged,
     and re-ranking the result reproduces the same priority vector.
     """
-    x = _solve_log_weights(m, tol)
+    p = prepare(m, tol)
+    x = _solve_log_weights(p, tol)
     ratios = np.exp(x[:, None] - x[None, :])
-    values = np.where(m.missing_mask, ratios, m.values)
-    return PCMatrix(values, m.labels)
+    values = np.where(p.missing, ratios, p.matrix.values)
+    return PCMatrix(values, p.matrix.labels)

@@ -1,124 +1,52 @@
 """Comparison graph of a PC matrix: vertices are alternatives, edges are
-present comparisons.  Degree, adjacency, and Laplacian matrices follow the
-standard graph definitions; connectivity decides whether a ranking exists.
+present comparisons.  The graph is its boolean (n, n) adjacency array;
+degrees are ``adj.sum(1)`` and the Laplacian follows the standard
+definition.  Connectivity decides whether a ranking exists.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix import PCMatrix
 
-__all__ = [
-    "ComparisonGraph",
-    "graph_of",
-    "degree",
-    "degree_matrix",
-    "adjacency_matrix",
-    "laplacian",
-    "is_connected",
-    "connected_components",
-]
+__all__ = ["graph_of", "laplacian", "is_connected", "connected_components"]
 
 
-@dataclass(frozen=True)
-class ComparisonGraph:
-    """Undirected graph on vertices 0..n-1; edges are (i, j) pairs with i < j."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i}, {j}) for n={self.n}")
-
-    def neighbors(self, i: int) -> list[int]:
-        return sorted({b if a == i else a for a, b in self.edges if i in (a, b)})
-
-
-def graph_of(m: PCMatrix) -> ComparisonGraph:
-    """Edge {i, j} whenever the comparison of i and j is present."""
-    present = ~np.isnan(m.values)
-    edges = frozenset(
-        (i, j)
-        for i in range(m.n)
-        for j in range(i + 1, m.n)
-        if present[i, j] or present[j, i]
-    )
-    return ComparisonGraph(m.n, edges)
-
-
-def degree(g: ComparisonGraph, i: int) -> int:
-    """Number of distinct neighbors of vertex i."""
-    if not 0 <= i < g.n:
-        raise IndexError(f"vertex {i} out of range for n={g.n}")
-    return sum(1 for a, b in g.edges if i in (a, b))
-
-
-def degree_matrix(g: ComparisonGraph) -> np.ndarray:
-    d = np.zeros((g.n, g.n))
-    for a, b in g.edges:
-        d[a, a] += 1.0
-        d[b, b] += 1.0
-    return d
-
-
-def adjacency_matrix(g: ComparisonGraph) -> np.ndarray:
-    p = np.zeros((g.n, g.n))
-    for a, b in g.edges:
-        p[a, b] = 1.0
-        p[b, a] = 1.0
-    return p
-
-
-def laplacian(g: ComparisonGraph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix; symmetric, rows sum to zero."""
-    return degree_matrix(g) - adjacency_matrix(g)
-
-
-def _adjacency_lists(g: ComparisonGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+def graph_of(m: PCMatrix) -> np.ndarray:
+    """Symmetric bool adjacency: edge {i, j} whenever c[i,j] or c[j,i] is present."""
+    present = ~m.missing_mask
+    adj = present | present.T
+    np.fill_diagonal(adj, False)
     return adj
 
 
-def is_connected(g: ComparisonGraph) -> bool:
-    """Breadth-first traversal from vertex 0 reaches every vertex."""
-    if g.n <= 1:
-        return True
-    adj = _adjacency_lists(g)
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+def laplacian(adj: np.ndarray) -> np.ndarray:
+    """Degree matrix minus adjacency matrix; symmetric, rows sum to zero."""
+    a = adj.astype(float)
+    return np.diag(a.sum(axis=1)) - a
 
 
-def connected_components(g: ComparisonGraph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest member."""
-    adj = _adjacency_lists(g)
-    seen: set[int] = set()
+def connected_components(adj: np.ndarray) -> list[list[int]]:
+    """Components as sorted vertex lists, ordered by smallest member.
+
+    Frontier breadth-first search: each vertex enters a frontier once, so
+    the rows scanned total n and the work is O(n^2).
+    """
+    unseen = np.ones(adj.shape[0], dtype=bool)
     components = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        seen |= comp
-        components.append(sorted(comp))
+    while unseen.any():
+        comp = np.zeros_like(unseen)
+        comp[np.argmax(unseen)] = True
+        frontier = comp.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        components.append(np.flatnonzero(comp).tolist())
     return components
+
+
+def is_connected(adj: np.ndarray) -> bool:
+    """Every vertex is reachable from every other."""
+    return len(connected_components(adj)) <= 1

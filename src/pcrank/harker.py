@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import power_iteration
-from .matrix import DEFAULT_TOL, PCMatrix, require_valid
+from .matrix import DEFAULT_TOL, PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
 __all__ = ["HarkerSystem", "build_harker", "rank_harker"]
@@ -34,19 +34,16 @@ class HarkerSystem:
     missing_counts: np.ndarray
 
 
-def build_harker(m: PCMatrix, tol: float = DEFAULT_TOL) -> HarkerSystem:
-    require_valid(m, tol)
-    missing = m.missing_mask.copy()
-    np.fill_diagonal(missing, False)
-    counts = missing.sum(axis=1)
-
-    b = np.where(missing, 0.0, m.values)
+def build_harker(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> HarkerSystem:
+    p = prepare(m, tol)
+    counts = p.missing.sum(axis=1)
+    b = np.where(p.missing, 0.0, p.matrix.values)
     np.fill_diagonal(b, counts + 1)
     return HarkerSystem(b, counts)
 
 
 def rank_harker(
-    m: PCMatrix,
+    m: PCMatrix | Problem,
     normalization: Normalization = "sum",
     tol: float = DEFAULT_TOL,
     eigen_tol: float = 1e-12,

@@ -91,14 +91,15 @@ def power_iteration(
         raise ValueError("power iteration expects a nonnegative matrix")
 
     v = np.full(a.shape[0], 1.0 / a.shape[0])
+    av = a @ v
     residual = np.inf
     for _ in range(max_iter):
-        av = a @ v
         lam = float(av.sum())  # l1 norm: av is nonnegative
         if lam <= 0.0:
             raise SingularMatrixError("iteration collapsed to the zero vector")
         v = av / lam
-        residual = float(np.abs(a @ v - lam * v).max())
+        av = a @ v  # checks this step's residual and seeds the next step
+        residual = float(np.abs(av - lam * v).max())
         if residual <= tol * lam * float(np.abs(v).max()):
             if not (v > 0).all():
                 raise ConvergenceError("eigenvector is not strictly positive; matrix may be reducible")

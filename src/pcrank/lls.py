@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import graph_of, laplacian
-from .gm import log_row_sums
 from .linalg import solve
-from .matrix import DEFAULT_TOL, PCMatrix, require_valid
+from .matrix import DEFAULT_TOL, PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
 __all__ = ["LlsSystem", "build_lls_system", "rank_lls"]
@@ -36,23 +34,26 @@ class LlsSystem:
     anchored_index: int
 
 
-def build_lls_system(m: PCMatrix, anchor: int = 0, tol: float = DEFAULT_TOL) -> LlsSystem:
-    require_valid(m, tol)
-    if not 0 <= anchor < m.n:
-        raise IndexError(f"anchor {anchor} out of range for n={m.n}")
-    return LlsSystem(laplacian(graph_of(m)), log_row_sums(m), anchor)
+def build_lls_system(
+    m: PCMatrix | Problem, anchor: int = 0, tol: float = DEFAULT_TOL
+) -> LlsSystem:
+    p = prepare(m, tol)
+    if not 0 <= anchor < p.matrix.n:
+        raise IndexError(f"anchor {anchor} out of range for n={p.matrix.n}")
+    return LlsSystem(p.laplacian, p.log_row_sums, anchor)
 
 
 def rank_lls(
-    m: PCMatrix,
+    m: PCMatrix | Problem,
     normalization: Normalization = "sum",
     anchor: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> PriorityVector:
     """Log-least-squares priority vector, anchored at ``anchor`` and rescaled."""
     system = build_lls_system(m, anchor, tol)
-    keep = [i for i in range(m.n) if i != anchor]
+    n = system.rhs.size
+    keep = [i for i in range(n) if i != anchor]
     reduced = system.laplacian[np.ix_(keep, keep)]
-    x = np.zeros(m.n)
+    x = np.zeros(n)
     x[keep] = solve(reduced, system.rhs[keep], spd_hint=True)
     return normalize(np.exp(x), normalization)

@@ -1,4 +1,5 @@
-"""Incomplete pairwise comparison matrices: data type, text format, validation.
+"""Incomplete pairwise comparison matrices: data type, text format, validation,
+and the validated :class:`Problem` that all ranking methods consume.
 
 A pairwise comparison (PC) matrix holds ratios c[i,j] ~ w_i / w_j expressing
 how strongly alternative i is preferred over alternative j.  Entries may be
@@ -35,6 +36,9 @@ __all__ = [
     "repair_reciprocal",
     "require_valid",
     "default_labels",
+    "Problem",
+    "prepare",
+    "log_row_sums",
 ]
 
 #: Sentinel stored for missing comparisons.
@@ -182,18 +186,20 @@ def _parse_token(token: str, line: int, column: int) -> float:
         raise ParseError("empty field", line, column)
     if _FRACTION_RE.match(token):
         num_s, den_s = token.split("/")
-        num, den = int(num_s), int(den_s)
-        if den == 0:
-            raise ValueError(f"line {line}, column {column}: division by zero in {token!r}")
-        value = num / den
+        try:
+            value = int(num_s) / int(den_s)
+        except ZeroDivisionError:
+            raise ParseError(f"division by zero in {token!r}", line, column) from None
+        except (OverflowError, ValueError):  # quotient beyond float, or too many digits
+            raise ParseError(f"numeral out of range {token!r}", line, column) from None
     elif _DECIMAL_RE.match(token):
         value = float(token)
     else:
         raise ParseError(f"invalid token {token!r}", line, column)
     if not math.isfinite(value):
-        raise ValueError(f"line {line}, column {column}: non-finite value {token!r}")
+        raise ParseError(f"non-finite value {token!r}", line, column)
     if value <= 0:
-        raise ValueError(f"line {line}, column {column}: entries must be positive, got {token!r}")
+        raise ParseError(f"entries must be positive, got {token!r}", line, column)
     return value
 
 
@@ -203,8 +209,8 @@ def parse_matrix(text: str) -> PCMatrix:
     Only shape and token syntax are checked here; semantic problems
     (reciprocity, connectivity, ...) are the job of :func:`validate`.
 
-    Raises ParseError for a bad token, ShapeError for a non-square layout,
-    and ValueError for zero, negative, or non-finite numerals.
+    Raises ParseError for a bad token or a zero, negative, non-finite or
+    out-of-range numeral, and ShapeError for a non-square layout.
     """
     rows: list[list[float]] = []
     row_lines: list[int] = []
@@ -264,54 +270,44 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     connectivity.  Nothing is raised; every problem is reported.
 
     ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal.
+    Violations are listed by kind in the order above, each kind in row-major
+    order of its positions.
     """
-    from .graph import connected_components, graph_of, is_connected
+    from .graph import connected_components, graph_of
 
     v = m.values
     n = m.n
     missing = np.isnan(v)
+    eye = np.eye(n, dtype=bool)
     violations: list[Violation] = []
 
-    for i in range(n):
-        d = v[i, i]
-        if math.isnan(d) or abs(d - 1.0) > tol:
-            shown = "?" if math.isnan(d) else f"{d:g}"
-            violations.append(Violation(DIAGONAL_NOT_ONE, i, i, f"expected 1, got {shown}"))
+    diag = np.diag(v)
+    for i in np.flatnonzero(np.isnan(diag) | (np.abs(diag - 1.0) > tol)).tolist():
+        shown = "?" if math.isnan(diag[i]) else f"{diag[i]:g}"
+        violations.append(Violation(DIAGONAL_NOT_ONE, i, i, f"expected 1, got {shown}"))
 
-    for i in range(n):
-        for j in range(n):
-            if i != j and not missing[i, j] and (not math.isfinite(v[i, j]) or v[i, j] <= 0):
-                violations.append(Violation(NON_POSITIVE, i, j, f"got {v[i, j]:g}"))
+    non_positive = ~eye & ~missing & (~np.isfinite(v) | (v <= 0))
+    for i, j in np.argwhere(non_positive).tolist():
+        violations.append(Violation(NON_POSITIVE, i, j, f"got {v[i, j]:g}"))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if missing[i, j] != missing[j, i]:
-                given, absent = (i, j) if missing[j, i] else (j, i)
-                violations.append(
-                    Violation(
-                        ASYMMETRIC_MISSINGNESS,
-                        i,
-                        j,
-                        f"c[{given + 1},{absent + 1}] given but c[{absent + 1},{given + 1}] missing",
-                    )
-                )
-            elif not missing[i, j]:
-                product = v[i, j] * v[j, i]
-                if not abs(product - 1.0) <= tol:
-                    violations.append(
-                        Violation(NON_RECIPROCAL, i, j, f"{v[i, j]:g} * {v[j, i]:g} != 1")
-                    )
+    asymmetric = missing != missing.T
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, 1e200 * 1e200
+        non_reciprocal = ~missing & ~missing.T & ~(np.abs(v * v.T - 1.0) <= tol)
+    for i, j in np.argwhere(np.triu(asymmetric | non_reciprocal, k=1)).tolist():
+        if asymmetric[i, j]:
+            given, absent = (i, j) if missing[j, i] else (j, i)
+            detail = f"c[{given + 1},{absent + 1}] given but c[{absent + 1},{given + 1}] missing"
+            violations.append(Violation(ASYMMETRIC_MISSINGNESS, i, j, detail))
+        else:
+            violations.append(Violation(NON_RECIPROCAL, i, j, f"{v[i, j]:g} * {v[j, i]:g} != 1"))
 
-    for i in range(n):
-        off = np.delete(missing[i], i)
-        if off.all():
-            violations.append(Violation(ROW_ALL_MISSING, i, i, "no comparisons in this row"))
+    for i in np.flatnonzero((missing | eye).all(axis=1)).tolist():
+        violations.append(Violation(ROW_ALL_MISSING, i, i, "no comparisons in this row"))
 
-    g = graph_of(m)
-    if not is_connected(g):
-        parts = ", ".join(
-            "{" + ",".join(m.labels[i] for i in comp) + "}" for comp in connected_components(g)
-        )
+    adj = graph_of(m)
+    components = connected_components(adj)
+    if len(components) > 1:
+        parts = ", ".join("{" + ",".join(m.labels[i] for i in comp) + "}" for comp in components)
         violations.append(
             Violation(DISCONNECTED, None, None, f"disconnected comparison graph: components {parts}")
         )
@@ -319,7 +315,7 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(
         ok=not violations,
         violations=tuple(violations),
-        present_pairs=len(g.edges),
+        present_pairs=int(adj.sum()) // 2,
         total_pairs=n * (n - 1) // 2,
     )
 
@@ -336,6 +332,45 @@ def require_valid(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     if report.kinds() <= _CONNECTIVITY_KINDS:
         raise DisconnectedGraphError(report)
     raise InvalidMatrixError(report)
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """A matrix that passed validation, with the arrays every method shares.
+
+    Build it with :func:`prepare` only: holding a Problem means the matrix is
+    valid and its comparison graph connected.  ``missing`` marks the missing
+    comparisons; a valid diagonal is never missing.  The arrays are read-only.
+    """
+
+    matrix: PCMatrix
+    missing: np.ndarray
+    laplacian: np.ndarray
+    log_row_sums: np.ndarray
+
+
+def log_row_sums(m: PCMatrix) -> np.ndarray:
+    """Per-row sum of ln over the present entries (the unit diagonal adds 0)."""
+    present = ~m.missing_mask
+    safe = np.where(present, m.values, 1.0)
+    return np.where(present, np.log(safe), 0.0).sum(axis=1)
+
+
+def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
+    """Validate once and assemble what GM, LLS and Harker all need.
+
+    A Problem is returned unchanged.  Raises DisconnectedGraphError /
+    InvalidMatrixError exactly as :func:`require_valid` does.
+    """
+    if isinstance(m, Problem):
+        return m
+    from .graph import graph_of, laplacian
+
+    require_valid(m, tol)
+    arrays = (m.missing_mask, laplacian(graph_of(m)), log_row_sums(m))
+    for a in arrays:
+        a.setflags(write=False)
+    return Problem(m, *arrays)
 
 
 def repair_reciprocal(m: PCMatrix) -> PCMatrix:

@@ -14,6 +14,9 @@ from pcrank import PCMatrix, graph_of, is_connected, parse_matrix
 EXAMPLE4_TEXT = "1,?,?,2\n?,1,3,?\n?,1/3,1,2\n1/2,?,1/2,1\n"
 EXAMPLE4_WEIGHTS = np.array([2 / 11, 6 / 11, 2 / 11, 1 / 11])
 
+#: A fraction numeral whose quotient is too large for a float.
+HUGE_FRACTION = "1" + "0" * 400 + "/3"
+
 
 def example4() -> PCMatrix:
     return parse_matrix(EXAMPLE4_TEXT)
@@ -103,3 +106,13 @@ def connected_by_union_find(n: int, edges) -> bool:
     for a, b in edges:
         uf.union(a, b)
     return uf.component_count() <= 1
+
+
+def record_validate_calls(monkeypatch) -> list:
+    """Count calls of pcrank's validate, however they are reached."""
+    import pcrank.matrix
+
+    calls: list = []
+    real = pcrank.matrix.validate
+    monkeypatch.setattr(pcrank.matrix, "validate", lambda m, tol: calls.append(m) or real(m, tol))
+    return calls

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,13 @@ import pytest
 from pcrank import parse_matrix, rank_gm, s_star
 from pcrank.cli import main
 
-from helpers import EXAMPLE4_TEXT, EXAMPLE4_WEIGHTS, example4
+from helpers import (
+    EXAMPLE4_TEXT,
+    EXAMPLE4_WEIGHTS,
+    HUGE_FRACTION,
+    example4,
+    record_validate_calls,
+)
 
 DISCONNECTED_TEXT = "1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"
 
@@ -42,6 +51,14 @@ class TestExitCodes:
         path = write(tmp_path, "1,oops\n1,1\n")
         assert main(["rank", path]) == 2
         assert "oops" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1/0", "1e999", pytest.param(HUGE_FRACTION, id="huge")])
+    def test_bad_numeral_is_two(self, tmp_path, capsys, token):
+        path = write(tmp_path, f"1,{token}\n1,1\n")
+        assert main(["rank", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcrank: error: line 1, column 3: ")
+        assert "Traceback" not in err
 
     def test_missing_file_is_two(self, capsys):
         assert main(["rank", "/no/such/file.pcm"]) == 2
@@ -186,6 +203,12 @@ class TestCompare:
         record = json.loads(capsys.readouterr().out)
         assert record["max_pairwise_diff"] < 1e-9
 
+    def test_validates_once(self, example_file, capsys, monkeypatch):
+        calls = record_validate_calls(monkeypatch)
+        assert main(["compare", "--format", "structured", example_file]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_single_comparison(self, tmp_path, capsys):
         path = write(tmp_path, "1,4\n1/4,1\n")
         assert main(["compare", "--format", "structured", path]) == 0
@@ -195,8 +218,20 @@ class TestCompare:
 
 
 def test_console_script_installed(example_file):
+    # Runs the target declared under [project.scripts] the way the installed
+    # script would, so the check needs no installation.
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["pcrank"]
+    module, func = target.split(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        ["pcrank", "rank", example_file], capture_output=True, text=True, check=False
+        [sys.executable, "-c", f"from {module} import {func}; {func}()", "rank", example_file],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=env,
     )
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
     assert "a2 0.5455" in result.stdout

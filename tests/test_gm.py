@@ -6,8 +6,6 @@ from pcrank import (
     InvalidMatrixError,
     build_system,
     complete_matrix,
-    graph_of,
-    laplacian,
     ordinal_ranking,
     parse_matrix,
     rank_gm,
@@ -54,12 +52,21 @@ class TestBuildSystem:
         assert np.array_equal(system.matrix, 5 * np.eye(5))
 
     def test_matches_laplacian_plus_ones(self):
+        # L + J written out element by element, as the paper defines it:
+        # 1 where c[i,j] is missing, 0 where present, n - s_i on the diagonal.
         rng = np.random.default_rng(1)
         for _ in range(30):
             m = random_incomplete(int(rng.integers(3, 11)), rng)
-            system = build_system(m)
-            expected = laplacian(graph_of(m)) + np.ones((m.n, m.n))
-            assert np.array_equal(system.matrix, expected)
+            n = m.n
+            expected = np.zeros((n, n))
+            for i in range(n):
+                s_i = sum(1 for j in range(n) if j != i and m.is_missing(i, j))
+                for j in range(n):
+                    if i == j:
+                        expected[i, j] = n - s_i
+                    elif m.is_missing(i, j):
+                        expected[i, j] = 1.0
+            assert np.array_equal(build_system(m).matrix, expected)
 
     def test_row_sums_are_n(self):
         rng = np.random.default_rng(2)

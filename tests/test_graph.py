@@ -1,21 +1,17 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcrank import (
-    ComparisonGraph,
-    adjacency_matrix,
+    PCMatrix,
     connected_components,
-    degree,
-    degree_matrix,
     graph_of,
     is_connected,
     laplacian,
     parse_matrix,
 )
 
-from helpers import connected_by_union_find, example4, random_complete
+from helpers import UnionFind, connected_by_union_find, example4, random_complete
 
 
 def complete3():
@@ -27,47 +23,49 @@ def diagonal_only(n):
     return parse_matrix("\n".join(rows))
 
 
+def adjacency(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+def edges_of(adj):
+    """Edges (i, j) with i < j, in row-major order."""
+    return [tuple(e) for e in np.argwhere(np.triu(adj)).tolist()]
+
+
 class TestGraphOf:
     def test_example4_edges(self):
-        g = graph_of(example4())
-        assert g.edges == frozenset({(0, 3), (1, 2), (2, 3)})
+        adj = graph_of(example4())
+        assert adj.dtype == bool
+        assert np.array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
+        assert edges_of(adj) == [(0, 3), (1, 2), (2, 3)]
 
     def test_complete_matrix_gives_complete_graph(self):
-        g = graph_of(complete3())
-        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert edges_of(graph_of(complete3())) == [(0, 1), (0, 2), (1, 2)]
 
     def test_diagonal_only_gives_empty_graph(self):
-        assert graph_of(diagonal_only(3)).edges == frozenset()
+        assert not graph_of(diagonal_only(3)).any()
 
     def test_one_sided_entry_still_makes_an_edge(self):
-        g = graph_of(parse_matrix("1,2\n?,1\n"))
-        assert g.edges == frozenset({(0, 1)})
+        adj = graph_of(parse_matrix("1,2\n?,1\n"))
+        assert edges_of(adj) == [(0, 1)]
+        assert adj[1, 0]
 
 
 class TestDegree:
     def test_example4_degrees(self):
-        g = graph_of(example4())
-        assert degree(g, 3) == 2  # compared with a1 and a3
-        assert [degree(g, i) for i in range(4)] == [1, 1, 2, 2]
+        degrees = graph_of(example4()).sum(axis=1)
+        assert degrees[3] == 2  # compared with a1 and a3
+        assert degrees.tolist() == [1, 1, 2, 2]
 
     def test_isolated_vertex(self):
-        assert degree(graph_of(diagonal_only(3)), 1) == 0
+        assert graph_of(diagonal_only(3)).sum(axis=1)[1] == 0
 
     def test_complete_graph(self):
-        g = graph_of(complete3())
-        assert all(degree(g, i) == 2 for i in range(3))
-
-    def test_out_of_range(self):
-        g = graph_of(complete3())
-        with pytest.raises(IndexError):
-            degree(g, 3)
-        with pytest.raises(IndexError):
-            degree(g, -1)
-
-    def test_neighbors(self):
-        g = graph_of(example4())
-        assert g.neighbors(3) == [0, 2]
-        assert g.neighbors(0) == [3]
+        assert graph_of(complete3()).sum(axis=1).tolist() == [2, 2, 2]
 
 
 class TestMatrices:
@@ -86,13 +84,12 @@ class TestMatrices:
         assert np.array_equal(lap, expected)
 
     def test_example4_degree_and_adjacency(self):
-        g = graph_of(example4())
-        assert np.array_equal(np.diag(degree_matrix(g)), [1, 1, 2, 2])
-        assert np.array_equal(degree_matrix(g), np.diag([1.0, 1.0, 2.0, 2.0]))
-        adj = adjacency_matrix(g)
+        lap = laplacian(graph_of(example4()))
+        assert np.array_equal(np.diag(lap), [1.0, 1.0, 2.0, 2.0])
+        adj = -(lap - np.diag(np.diag(lap)))
         assert adj[0, 3] == adj[3, 0] == 1.0
         assert adj[0, 1] == 0.0
-        assert np.array_equal(adj, adj.T)
+        assert np.array_equal(adj, graph_of(example4()).astype(float))
 
     def test_empty_graph_zero_laplacian(self):
         assert np.array_equal(laplacian(graph_of(diagonal_only(4))), np.zeros((4, 4)))
@@ -105,10 +102,8 @@ class TestMatrices:
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(2, 12))
-            edges = frozenset(
-                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
-            )
-            lap = laplacian(ComparisonGraph(n, edges))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            lap = laplacian(adjacency(n, edges))
             assert np.array_equal(lap, lap.T)
             assert np.array_equal(lap.sum(axis=0), np.zeros(n))
             assert np.array_equal(lap @ np.ones(n), np.zeros(n))
@@ -119,12 +114,12 @@ class TestConnectivity:
         assert is_connected(graph_of(example4()))
 
     def test_two_disjoint_edges(self):
-        g = ComparisonGraph(4, frozenset({(0, 1), (2, 3)}))
-        assert not is_connected(g)
-        assert connected_components(g) == [[0, 1], [2, 3]]
+        adj = adjacency(4, [(0, 1), (2, 3)])
+        assert not is_connected(adj)
+        assert connected_components(adj) == [[0, 1], [2, 3]]
 
     def test_single_vertex(self):
-        assert is_connected(ComparisonGraph(1, frozenset()))
+        assert is_connected(np.zeros((1, 1), dtype=bool))
 
     def test_components_of_connected_graph(self):
         assert connected_components(graph_of(example4())) == [[0, 1, 2, 3]]
@@ -135,8 +130,15 @@ class TestConnectivity:
         n = data.draw(st.integers(1, 50))
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = data.draw(st.sets(st.sampled_from(all_pairs)) if all_pairs else st.just(set()))
-        g = ComparisonGraph(n, frozenset(edges))
-        assert is_connected(g) == connected_by_union_find(n, edges)
+        adj = adjacency(n, edges)
+        assert is_connected(adj) == connected_by_union_find(n, edges)
+        uf = UnionFind(n)
+        for a, b in edges:
+            uf.union(a, b)
+        groups = {}
+        for x in range(n):
+            groups.setdefault(uf.find(x), []).append(x)
+        assert connected_components(adj) == sorted(groups.values())
 
     def test_union_find_matches_on_pc_matrices(self):
         rng = np.random.default_rng(21)
@@ -147,17 +149,6 @@ class TestConnectivity:
                 for j in range(i + 1, n):
                     if rng.random() < 0.6:
                         values[i, j] = values[j, i] = np.nan
-            from pcrank import PCMatrix
+            adj = graph_of(PCMatrix(values))
+            assert is_connected(adj) == connected_by_union_find(n, edges_of(adj))
 
-            g = graph_of(PCMatrix(values))
-            assert is_connected(g) == connected_by_union_find(n, g.edges)
-
-
-class TestConstruction:
-    def test_rejects_out_of_range_edges(self):
-        with pytest.raises(ValueError):
-            ComparisonGraph(3, frozenset({(0, 3)}))
-        with pytest.raises(ValueError):
-            ComparisonGraph(3, frozenset({(2, 1)}))
-        with pytest.raises(ValueError):
-            ComparisonGraph(3, frozenset({(1, 1)}))

@@ -1,5 +1,6 @@
 import math
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,18 @@ from pcrank import (
     ParseError,
     PCMatrix,
     ShapeError,
+    build_harker,
+    build_lls_system,
+    build_system,
+    complete_matrix,
+    graph_of,
+    laplacian,
+    log_row_sums,
     parse_matrix,
+    prepare,
+    rank_gm,
+    rank_harker,
+    rank_lls,
     repair_reciprocal,
     require_valid,
     serialize_matrix,
@@ -27,7 +39,29 @@ from pcrank.matrix import (
     ROW_ALL_MISSING,
 )
 
-from helpers import EXAMPLE4_TEXT, delete_random_pairs, example4, random_complete
+from helpers import (
+    EXAMPLE4_TEXT,
+    HUGE_FRACTION,
+    UnionFind,
+    delete_random_pairs,
+    example4,
+    random_complete,
+    record_validate_calls,
+)
+
+# One matrix with every violation kind, several positions each, and entries
+# (inf, 0, 1e200) whose reciprocity products are NaN or overflow.
+GOLDEN_VALUES = np.array(
+    [
+        [np.nan, 2.0, np.inf, 4.0, np.nan, np.nan, np.nan],
+        [0.5, 1.0, -3.0, 3.0, np.nan, np.nan, np.nan],
+        [0.0, -1 / 3, 2.0, 1e200, np.nan, np.nan, np.nan],
+        [np.nan, 0.5, 1e200, np.inf, np.nan, np.nan, np.nan],
+        [np.nan, np.nan, np.nan, np.nan, 1.0, np.nan, np.nan],
+        [np.nan, np.nan, np.nan, np.nan, 5.0, 1.0, np.nan],
+        [np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, 1.0],
+    ]
+)
 
 
 class TestParse:
@@ -96,10 +130,14 @@ class TestParse:
         assert exc.value.column == 6
         assert "abc" in str(exc.value)
 
-    @pytest.mark.parametrize("token", ["0", "-2", "0.0", "-1/2", "1e999", "1/0", "0/7"])
+    @pytest.mark.parametrize(
+        "token",
+        ["0", "-2", "0.0", "-1/2", "1e999", "1/0", "0/7", pytest.param(HUGE_FRACTION, id="huge")],
+    )
     def test_nonpositive_or_nonfinite_values(self, token):
-        with pytest.raises(ValueError):
-            parse_matrix(f"1,{token}\n1,1\n")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(f"1, {token}\n1,1\n")
+        assert (exc.value.line, exc.value.column) == (1, 4)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "two", "1//2", "1 2", ""])
     def test_tokens_outside_grammar(self, token):
@@ -161,6 +199,74 @@ def pc_matrices(draw):
 @given(pc_matrices())
 def test_roundtrip_property(m):
     assert parse_matrix(serialize_matrix(m)).equals(m)
+
+
+def validate_by_loops(m, tol):
+    """Element-by-element reference for :func:`validate`: violation texts in
+    the documented order, and the present-pair count."""
+    v, n = m.values, m.n
+    miss = np.isnan(v)
+    diag, nonpos, pairs, rows = [], [], [], []
+    uf = UnionFind(n)
+    for i in range(n):
+        d = v[i, i]
+        if math.isnan(d) or abs(d - 1.0) > tol:
+            shown = "?" if math.isnan(d) else f"{d:g}"
+            diag.append(f"DiagonalNotOne ({i + 1},{i + 1}): expected 1, got {shown}")
+        if all(miss[i, j] for j in range(n) if j != i):
+            rows.append(f"RowAllMissing ({i + 1},{i + 1}): no comparisons in this row")
+        for j in range(n):
+            if i != j and not miss[i, j] and (not math.isfinite(v[i, j]) or v[i, j] <= 0):
+                nonpos.append(f"NonPositive ({i + 1},{j + 1}): got {v[i, j]:g}")
+            if j <= i:
+                continue
+            if not (miss[i, j] and miss[j, i]):
+                uf.union(i, j)
+            if miss[i, j] != miss[j, i]:
+                g, a = (i + 1, j + 1) if miss[j, i] else (j + 1, i + 1)
+                detail = f"c[{g},{a}] given but c[{a},{g}] missing"
+                pairs.append(f"AsymmetricMissingness ({i + 1},{j + 1}): {detail}")
+            elif not miss[i, j] and not abs(float(v[i, j]) * float(v[j, i]) - 1.0) <= tol:
+                pairs.append(f"NonReciprocal ({i + 1},{j + 1}): {v[i, j]:g} * {v[j, i]:g} != 1")
+    groups = {}
+    for x in range(n):
+        groups.setdefault(uf.find(x), []).append(m.labels[x])
+    found = diag + nonpos + pairs + rows
+    if len(groups) > 1:
+        parts = ", ".join("{" + ",".join(g) + "}" for g in groups.values())
+        found.append(f"Disconnected: disconnected comparison graph: components {parts}")
+    present = sum(1 for i in range(n) for j in range(i + 1, n) if not (miss[i, j] and miss[j, i]))
+    return found, present
+
+
+SPECIAL = [math.nan, math.nan, 0.0, -1.0, math.inf, -math.inf, 1e200, 1e-200, 2.0, 1 + 2e-9]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_validate_matches_loop_reference(data):
+    n = data.draw(st.integers(2, 7))
+    values = np.ones((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                values[i, i] = data.draw(st.sampled_from([1.0, 1.0] + SPECIAL))
+            elif i < j:
+                x = data.draw(st.floats(1e-3, 1e3))
+                values[i, j], values[j, i] = x, 1.0 / x
+    for i in range(n):
+        for j in range(n):
+            if i != j and data.draw(st.booleans()):
+                values[i, j] = data.draw(st.sampled_from(SPECIAL))
+                if math.isnan(values[i, j]) and data.draw(st.booleans()):
+                    values[j, i] = math.nan  # missing on both sides
+    m = PCMatrix(values)
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    expected, present = validate_by_loops(m, tol)
+    report = validate(m, tol)
+    assert [v.describe() for v in report.violations] == expected
+    assert report.present_pairs == present
+    assert report.ok == (not expected)
 
 
 class TestValidate:
@@ -236,6 +342,34 @@ class TestValidate:
             flagged = DISCONNECTED in validate(m).kinds()
             assert flagged == (len(connected_components(graph_of(m))) > 1)
 
+    def test_golden_violation_list(self):
+        report = validate(PCMatrix(GOLDEN_VALUES))
+        assert [v.describe() for v in report.violations] == [
+            "DiagonalNotOne (1,1): expected 1, got ?",
+            "DiagonalNotOne (3,3): expected 1, got 2",
+            "DiagonalNotOne (4,4): expected 1, got inf",
+            "NonPositive (1,3): got inf",
+            "NonPositive (2,3): got -3",
+            "NonPositive (3,1): got 0",
+            "NonPositive (3,2): got -0.333333",
+            "NonReciprocal (1,3): inf * 0 != 1",
+            "AsymmetricMissingness (1,4): c[1,4] given but c[4,1] missing",
+            "NonReciprocal (2,4): 3 * 0.5 != 1",
+            "NonReciprocal (3,4): 1e+200 * 1e+200 != 1",
+            "AsymmetricMissingness (5,6): c[6,5] given but c[5,6] missing",
+            "RowAllMissing (5,5): no comparisons in this row",
+            "RowAllMissing (7,7): no comparisons in this row",
+            "Disconnected: disconnected comparison graph: components "
+            "{a1,a2,a3,a4}, {a5,a6}, {a7}",
+        ]
+        assert (report.present_pairs, report.total_pairs) == (7, 21)
+        assert all(type(v.i) is int for v in report.violations if v.i is not None)
+
+    def test_overflowing_products_raise_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate(PCMatrix(GOLDEN_VALUES))
+
     def test_require_valid_passes_good_matrix(self):
         assert require_valid(example4()).ok
 
@@ -248,6 +382,34 @@ class TestValidate:
             require_valid(non_reciprocal)
         assert not isinstance(exc.value, DisconnectedGraphError)
         assert exc.value.report.violations
+
+
+class TestPrepare:
+    def test_shared_arrays(self):
+        p = prepare(example4())
+        assert p.matrix.equals(example4())
+        assert np.array_equal(p.missing, example4().missing_mask)
+        assert np.array_equal(p.laplacian, laplacian(graph_of(example4())))
+        assert np.array_equal(p.log_row_sums, log_row_sums(example4()))
+        with pytest.raises(ValueError):
+            p.laplacian[0, 0] = 5.0
+
+    def test_raises_like_require_valid(self):
+        with pytest.raises(DisconnectedGraphError):
+            prepare(parse_matrix("1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"))
+        with pytest.raises(InvalidMatrixError) as exc:
+            prepare(parse_matrix("1,2\n3,1\n"))
+        assert not isinstance(exc.value, DisconnectedGraphError)
+
+    def test_validates_once_for_every_method(self, monkeypatch):
+        calls = record_validate_calls(monkeypatch)
+        p = prepare(example4())
+        assert prepare(p) is p
+        for method in (rank_gm, rank_lls, rank_harker, complete_matrix, build_system):
+            method(p)
+        build_lls_system(p)
+        build_harker(p)
+        assert len(calls) == 1
 
 
 class TestRepair:
