@@ -27,7 +27,7 @@ from .matrix import (
 )
 from .graph import connected_components, graph_of, is_connected, laplacian
 from .linalg import ConvergenceError, SingularMatrixError, power_iteration, solve
-from .priority import Normalization, PriorityVector, normalize
+from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 from .gm import GmSystem, build_system, complete_matrix, rank_gm
 from .lls import LlsSystem, build_lls_system, rank_lls
 from .harker import HarkerSystem, build_harker, rank_harker
@@ -72,6 +72,7 @@ __all__ = [
     "ConvergenceError",
     "Normalization",
     "PriorityVector",
+    "UnrepresentableWeightsError",
     "normalize",
     "GmSystem",
     "build_system",

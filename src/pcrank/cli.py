@@ -1,8 +1,9 @@
 """Command-line interface: rank, validate, complete, and compare.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or other
-domain failure, 2 I/O or syntax trouble.  ``--format structured`` emits one
-JSON record per run with full-precision weights.
+domain failure (including weights that do not fit in a float), 2 I/O or
+syntax trouble.  ``--format structured`` emits one JSON record per run with
+full-precision weights.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ from .matrix import (
     validate,
 )
 from .metrics import MethodReport, format_ranking, method_report
-from .priority import PriorityVector
+from .priority import PriorityVector, UnrepresentableWeightsError
 
 __all__ = ["main", "run"]
 
 _RANKERS = {"gm": rank_gm, "lls": rank_lls, "harker": rank_harker}
+
+#: Domain failures of one method on a valid matrix, reported without a traceback.
+_METHOD_ERRORS = (ConvergenceError, UnrepresentableWeightsError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,7 +141,7 @@ def _cmd_rank(p: Problem, args) -> int:
     m = p.matrix
     try:
         vector = _RANKERS[args.method](p, args.normalize)
-    except ConvergenceError as e:
+    except _METHOD_ERRORS as e:
         print(f"pcrank: {args.method}: {e}", file=sys.stderr)
         return 1
     report = method_report(args.method, m, vector, _diagnostics(args.method, p, vector))
@@ -179,7 +183,11 @@ def _cmd_validate(m: PCMatrix, args) -> int:
 
 
 def _cmd_complete(p: Problem, args) -> int:
-    completed = complete_matrix(p)
+    try:
+        completed = complete_matrix(p)
+    except UnrepresentableWeightsError as e:
+        print(f"pcrank: complete: {e}", file=sys.stderr)
+        return 1
     if args.format == "structured":
         print(
             json.dumps(
@@ -202,7 +210,7 @@ def _cmd_compare(p: Problem, args) -> int:
     for method, ranker in _RANKERS.items():
         try:
             vector = ranker(p, args.normalize)
-        except ConvergenceError as e:
+        except _METHOD_ERRORS as e:
             failures.append((method, str(e)))
             continue
         reports.append(method_report(method, m, vector, _diagnostics(method, p, vector)))
@@ -222,17 +230,20 @@ def _cmd_compare(p: Problem, args) -> int:
             "max_pairwise_diff": max_diff,
         }
         print(json.dumps(record))
-        return 0
-
-    name_width = max(6, *(len(label) for label in m.labels))
-    header = "method  " + "".join(f"{label:>{name_width + 2}}" for label in m.labels)
-    print(header + f"{'S*(C)':>12}  ranking")
-    for r in reports:
-        cells = "".join(f"{w:>{name_width + 2}.4f}" for w in r.vector.weights)
-        print(f"{r.method:<8}" + cells + f"{r.s_star:>12.4g}  " + format_ranking(r.ranking, m.labels))
-    for name, msg in failures:
-        print(f"{name:<8}ERROR: {msg}")
-    print(f"max pairwise weight difference: {max_diff:.3g}")
+    else:
+        name_width = max(6, *(len(label) for label in m.labels))
+        header = "method  " + "".join(f"{label:>{name_width + 2}}" for label in m.labels)
+        print(header + f"{'S*(C)':>12}  ranking")
+        for r in reports:
+            cells = "".join(f"{w:>{name_width + 2}.4f}" for w in r.vector.weights)
+            ranking = format_ranking(r.ranking, m.labels)
+            print(f"{r.method:<8}{cells}{r.s_star:>12.4g}  {ranking}")
+        for name, msg in failures:
+            print(f"{name:<8}ERROR: {msg}")
+        print(f"max pairwise weight difference: {max_diff:.3g}")
+    if not reports:
+        print("pcrank: compare: no method produced weights", file=sys.stderr)
+        return 1
     return 0
 
 

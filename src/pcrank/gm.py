@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SingularMatrixError, solve
-from .matrix import DEFAULT_TOL, PCMatrix, Problem, prepare
-from .priority import Normalization, PriorityVector, normalize
+from .matrix import PCMatrix, Problem, prepare
+from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 
 __all__ = ["GmSystem", "build_system", "rank_gm", "complete_matrix"]
 
@@ -43,19 +43,19 @@ class GmSystem:
         return self.rhs.size
 
 
-def build_system(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> GmSystem:
+def build_system(m: PCMatrix | Problem) -> GmSystem:
     """Assemble the log-weight system (L + J) x = b for a valid, connected matrix.
 
     Raises DisconnectedGraphError / InvalidMatrixError via validation.
     """
-    p = prepare(m, tol)
+    p = prepare(m)
     return GmSystem(p.laplacian + 1.0, p.log_row_sums, p.missing.sum(axis=1))
 
 
-def _solve_log_weights(m: PCMatrix | Problem, tol: float) -> np.ndarray:
-    system = build_system(m, tol)
+def _solve_log_weights(m: PCMatrix | Problem) -> np.ndarray:
+    system = build_system(m)
     try:
-        return solve(system.matrix, system.rhs, spd_hint=True)
+        return solve(system.matrix, system.rhs)
     except SingularMatrixError as e:  # impossible for connected graphs
         raise RuntimeError(
             f"singular geometric-mean system for a validated matrix (n={system.n}, "
@@ -64,25 +64,31 @@ def _solve_log_weights(m: PCMatrix | Problem, tol: float) -> np.ndarray:
         ) from e
 
 
-def rank_gm(
-    m: PCMatrix | Problem, normalization: Normalization = "sum", tol: float = DEFAULT_TOL
-) -> PriorityVector:
+def rank_gm(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
     """Geometric-mean priority vector of an incomplete PC matrix.
 
     For a complete matrix this equals the normalized row geometric means.
+    Raises UnrepresentableWeightsError when the weights do not fit in a float.
     """
-    return normalize(np.exp(_solve_log_weights(m, tol)), normalization)
+    x = _solve_log_weights(m)
+    with np.errstate(over="ignore"):  # normalize rejects the infinities
+        w = np.exp(x)
+    return normalize(w, normalization)
 
 
-def complete_matrix(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> PCMatrix:
+def complete_matrix(m: PCMatrix | Problem) -> PCMatrix:
     """Fill every missing entry with the weight ratio w_i / w_j.
 
     Ratios come from unnormalized log-weight differences, exp(x_i - x_j), so
     reciprocity holds to machine precision.  Present entries are unchanged,
-    and re-ranking the result reproduces the same priority vector.
+    and re-ranking the result reproduces the same priority vector.  Raises
+    UnrepresentableWeightsError when a ratio is not a positive finite float.
     """
-    p = prepare(m, tol)
-    x = _solve_log_weights(p, tol)
-    ratios = np.exp(x[:, None] - x[None, :])
+    p = prepare(m)
+    x = _solve_log_weights(p)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(x[:, None] - x[None, :])
     values = np.where(p.missing, ratios, p.matrix.values)
+    if not (np.isfinite(values).all() and (values > 0).all()):
+        raise UnrepresentableWeightsError("fitted ratios are not representable in double precision")
     return PCMatrix(values, p.matrix.labels)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import power_iteration
-from .matrix import DEFAULT_TOL, PCMatrix, Problem, prepare
+from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
 __all__ = ["HarkerSystem", "build_harker", "rank_harker"]
@@ -34,27 +34,20 @@ class HarkerSystem:
     missing_counts: np.ndarray
 
 
-def build_harker(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> HarkerSystem:
-    p = prepare(m, tol)
+def build_harker(m: PCMatrix | Problem) -> HarkerSystem:
+    p = prepare(m)
     counts = p.missing.sum(axis=1)
     b = np.where(p.missing, 0.0, p.matrix.values)
     np.fill_diagonal(b, counts + 1)
     return HarkerSystem(b, counts)
 
 
-def rank_harker(
-    m: PCMatrix | Problem,
-    normalization: Normalization = "sum",
-    tol: float = DEFAULT_TOL,
-    eigen_tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> PriorityVector:
+def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
     """Principal-eigenvector priority vector of Harker's completion.
 
-    Raises ConvergenceError if power iteration exhausts ``max_iter``; callers
+    Raises ConvergenceError if power iteration does not converge; callers
     presenting several methods side by side should report that per method
     rather than abort.
     """
-    system = build_harker(m, tol)
-    _, v = power_iteration(system.matrix, tol=eigen_tol, max_iter=max_iter)
+    _, v = power_iteration(build_harker(m).matrix)
     return normalize(v, normalization)

@@ -1,13 +1,13 @@
-"""Small dense linear-algebra kernel: direct solves and power iteration.
+"""Small dense linear-algebra kernel: Cholesky solves and power iteration.
 
-Factorizations are delegated to LAPACK via scipy; this module adds the
-contracts the solvers rely on (an explicit singularity guard relative to the
-matrix max-norm, and a residual-checked dominant eigenpair).
+Every linear system pcrank solves on a validated matrix is symmetric positive
+definite, so the one direct solver is Cholesky, delegated to LAPACK via
+scipy.  This module adds the contracts the solvers rely on (an explicit
+singularity guard relative to the matrix max-norm, and a residual-checked
+dominant eigenpair).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -40,38 +40,24 @@ def _check_square(a: np.ndarray, rhs: np.ndarray | None = None) -> None:
         raise ValueError(f"dimension mismatch: matrix {a.shape}, rhs {rhs.shape}")
 
 
-def solve(a: np.ndarray, rhs: np.ndarray, spd_hint: bool = False) -> np.ndarray:
-    """Solve a @ x = rhs directly.
+def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a @ x = rhs for a symmetric positive definite ``a`` (Cholesky).
 
-    With ``spd_hint`` a symmetric (Cholesky) factorization is used, otherwise
-    LU with partial pivoting.  Raises SingularMatrixError when any pivot falls
-    below PIVOT_RTOL times the matrix max-norm, ValueError on dimension
-    mismatch.
+    Raises SingularMatrixError when ``a`` is not positive definite or any
+    pivot falls below PIVOT_RTOL times the matrix max-norm, ValueError on
+    dimension mismatch.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     _check_square(a, rhs)
 
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    threshold = PIVOT_RTOL * scale
-
-    if spd_hint:
-        try:
-            factor = scipy.linalg.cho_factor(a)
-        except scipy.linalg.LinAlgError as e:
-            raise SingularMatrixError(f"not positive definite: {e}") from e
-        if (np.diag(factor[0]) ** 2 < threshold).any():
-            raise SingularMatrixError("pivot below singularity threshold")
-        return scipy.linalg.cho_solve(factor, rhs)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    if (np.abs(np.diag(lu)) < threshold).any():
+    try:
+        factor = scipy.linalg.cho_factor(a)
+    except scipy.linalg.LinAlgError as e:  # also the zero matrix
+        raise SingularMatrixError(f"not positive definite: {e}") from e
+    if (np.diag(factor[0]) ** 2 < PIVOT_RTOL * np.abs(a).max()).any():
         raise SingularMatrixError("pivot below singularity threshold")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    return scipy.linalg.cho_solve(factor, rhs)
 
 
 def power_iteration(

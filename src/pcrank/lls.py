@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import solve
-from .matrix import DEFAULT_TOL, PCMatrix, Problem, prepare
+from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
 __all__ = ["LlsSystem", "build_lls_system", "rank_lls"]
@@ -34,26 +34,26 @@ class LlsSystem:
     anchored_index: int
 
 
-def build_lls_system(
-    m: PCMatrix | Problem, anchor: int = 0, tol: float = DEFAULT_TOL
-) -> LlsSystem:
-    p = prepare(m, tol)
+def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> LlsSystem:
+    p = prepare(m)
     if not 0 <= anchor < p.matrix.n:
         raise IndexError(f"anchor {anchor} out of range for n={p.matrix.n}")
     return LlsSystem(p.laplacian, p.log_row_sums, anchor)
 
 
 def rank_lls(
-    m: PCMatrix | Problem,
-    normalization: Normalization = "sum",
-    anchor: int = 0,
-    tol: float = DEFAULT_TOL,
+    m: PCMatrix | Problem, normalization: Normalization = "sum", anchor: int = 0
 ) -> PriorityVector:
-    """Log-least-squares priority vector, anchored at ``anchor`` and rescaled."""
-    system = build_lls_system(m, anchor, tol)
+    """Log-least-squares priority vector, anchored at ``anchor`` and rescaled.
+
+    Raises UnrepresentableWeightsError when the weights do not fit in a float.
+    """
+    system = build_lls_system(m, anchor)
     n = system.rhs.size
     keep = [i for i in range(n) if i != anchor]
     reduced = system.laplacian[np.ix_(keep, keep)]
     x = np.zeros(n)
-    x[keep] = solve(reduced, system.rhs[keep], spd_hint=True)
-    return normalize(np.exp(x), normalization)
+    x[keep] = solve(reduced, system.rhs[keep])
+    with np.errstate(over="ignore"):  # normalize rejects the infinities
+        w = np.exp(x)
+    return normalize(w, normalization)

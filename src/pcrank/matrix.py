@@ -38,6 +38,7 @@ __all__ = [
     "default_labels",
     "Problem",
     "prepare",
+    "log_entries",
     "log_row_sums",
 ]
 
@@ -349,11 +350,14 @@ class Problem:
     log_row_sums: np.ndarray
 
 
+def log_entries(m: PCMatrix) -> np.ndarray:
+    """ln c[i,j] where the comparison is present, 0 where it is missing."""
+    return np.log(np.where(m.missing_mask, 1.0, m.values))
+
+
 def log_row_sums(m: PCMatrix) -> np.ndarray:
     """Per-row sum of ln over the present entries (the unit diagonal adds 0)."""
-    present = ~m.missing_mask
-    safe = np.where(present, m.values, 1.0)
-    return np.where(present, np.log(safe), 0.0).sum(axis=1)
+    return log_entries(m).sum(axis=1)
 
 
 def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
@@ -379,10 +383,6 @@ def repair_reciprocal(m: PCMatrix) -> PCMatrix:
     Returns a new matrix; pairs that are missing on both sides stay missing.
     """
     v = m.values.copy()
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if np.isnan(v[i, j]) and not np.isnan(v[j, i]):
-                v[i, j] = 1.0 / v[j, i]
-            elif np.isnan(v[j, i]) and not np.isnan(v[i, j]):
-                v[j, i] = 1.0 / v[i, j]
+    one_sided = np.isnan(v) & ~np.isnan(v.T)
+    v[one_sided] = 1.0 / v.T[one_sided]
     return PCMatrix(v, m.labels)

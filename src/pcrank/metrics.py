@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import PCMatrix
+from .matrix import PCMatrix, log_entries
 from .priority import PriorityVector
 
 __all__ = [
@@ -38,13 +38,6 @@ def _weights_of(w: PriorityVector | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _log_error_sum(m: PCMatrix, w: PriorityVector | np.ndarray, mask: np.ndarray) -> float:
-    x = np.log(_weights_of(w))
-    safe = np.where(mask, m.values, 1.0)
-    terms = (np.log(safe) - (x[:, None] - x[None, :])) ** 2
-    return float(np.where(mask, terms, 0.0).sum())
-
-
 def s_complete(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
     """Sum over all i, j of (ln c[i,j] - ln(w_i / w_j))^2.
 
@@ -53,7 +46,7 @@ def s_complete(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
     """
     if not m.is_complete():
         raise IncompleteMatrixError("matrix has missing entries; use s_star")
-    return _log_error_sum(m, w, np.ones_like(m.values, dtype=bool))
+    return s_star(m, w)
 
 
 def s_star(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
@@ -62,16 +55,16 @@ def s_star(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
     Equals s_complete on complete matrices, and equals s_complete of the
     geometric-mean completion evaluated at the same weights.
     """
-    return _log_error_sum(m, w, ~m.missing_mask)
+    x = np.log(_weights_of(w))
+    terms = (log_entries(m) - (x[:, None] - x[None, :])) ** 2
+    return float(np.where(m.missing_mask, 0.0, terms).sum())
 
 
-def ordinal_ranking(
-    w: PriorityVector | np.ndarray, tie_rtol: float = TIE_RTOL
-) -> tuple[tuple[int, ...], ...]:
+def ordinal_ranking(w: PriorityVector | np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Indices grouped from most to least preferred; near-equal weights tie.
 
     A weight joins the current group while its relative gap to the group's
-    largest weight stays within ``tie_rtol``.
+    largest weight stays within TIE_RTOL.
     """
     arr = _weights_of(w)
     order = sorted(range(arr.size), key=lambda i: (-arr[i], i))
@@ -79,7 +72,7 @@ def ordinal_ranking(
     current = [order[0]]
     head = arr[order[0]]
     for idx in order[1:]:
-        if head - arr[idx] <= tie_rtol * head:
+        if head - arr[idx] <= TIE_RTOL * head:
             current.append(idx)
         else:
             groups.append(tuple(sorted(current)))
@@ -95,9 +88,7 @@ def format_ranking(groups: tuple[tuple[int, ...], ...], labels: tuple[str, ...])
 
 
 def compare_rankings(
-    a: PriorityVector | np.ndarray,
-    b: PriorityVector | np.ndarray,
-    tie_rtol: float = TIE_RTOL,
+    a: PriorityVector | np.ndarray, b: PriorityVector | np.ndarray
 ) -> tuple[float, bool]:
     """Componentwise max difference and whether the tie-grouped orders agree.
 
@@ -107,7 +98,7 @@ def compare_rankings(
     if wa.size != wb.size:
         raise ValueError(f"dimension mismatch: {wa.size} vs {wb.size}")
     max_diff = float(np.abs(wa - wb).max())
-    return max_diff, ordinal_ranking(wa, tie_rtol) == ordinal_ranking(wb, tie_rtol)
+    return max_diff, ordinal_ranking(wa) == ordinal_ranking(wb)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,16 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = ["Normalization", "PriorityVector", "normalize"]
+__all__ = ["Normalization", "PriorityVector", "UnrepresentableWeightsError", "normalize"]
 
 Normalization = Literal["sum", "max", "none"]
 
 _SCALE_TOL = 1e-12
+
+
+class UnrepresentableWeightsError(ArithmeticError):
+    """The weights (or fitted ratios) overflow or underflow double precision:
+    the matrix's ratios span a wider range than a float can hold."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,17 +43,21 @@ class PriorityVector:
     def n(self) -> int:
         return self.weights.size
 
-    def rescaled(self, normalization: Normalization) -> "PriorityVector":
-        return normalize(self.weights, normalization)
-
 
 def normalize(weights: np.ndarray, normalization: Normalization = "sum") -> PriorityVector:
-    """Scale positive weights: to unit sum, to unit maximum, or not at all."""
+    """Scale positive weights: to unit sum, to unit maximum, or not at all.
+
+    Raises UnrepresentableWeightsError when a scaled weight is not a
+    positive finite float.
+    """
     w = np.asarray(weights, dtype=float)
-    if normalization == "sum":
-        w = w / w.sum()
-    elif normalization == "max":
-        w = w / w.max()
-    elif normalization != "none":
-        raise ValueError(f"unknown normalization {normalization!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf
+        if normalization == "sum":
+            w = w / w.sum()
+        elif normalization == "max":
+            w = w / w.max()
+        elif normalization != "none":
+            raise ValueError(f"unknown normalization {normalization!r}")
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise UnrepresentableWeightsError("weights are not representable in double precision")
     return PriorityVector(w, normalization)

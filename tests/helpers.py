@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 
 from pcrank import PCMatrix, graph_of, is_connected, parse_matrix
@@ -16,6 +20,9 @@ EXAMPLE4_WEIGHTS = np.array([2 / 11, 6 / 11, 2 / 11, 1 / 11])
 
 #: A fraction numeral whose quotient is too large for a float.
 HUGE_FRACTION = "1" + "0" * 400 + "/3"
+
+#: A valid, connected chain whose weights span 1e600: beyond double precision.
+CHAIN_TEXT = "1,1e200,?,?\n1e-200,1,1e200,?\n?,1e-200,1,1e200\n?,?,1e-200,1\n"
 
 
 def example4() -> PCMatrix:
@@ -116,3 +123,17 @@ def record_validate_calls(monkeypatch) -> list:
     real = pcrank.matrix.validate
     monkeypatch.setattr(pcrank.matrix, "validate", lambda m, tol: calls.append(m) or real(m, tol))
     return calls
+
+
+def run_cli(argv: list[str], text: str) -> dict:
+    """Run ``pcrank ARGV -`` in-process with ``text`` on standard input."""
+    from pcrank.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "-"])
+    finally:
+        sys.stdin = stdin
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}

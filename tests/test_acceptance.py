@@ -121,7 +121,7 @@ def test_nonsingularity_witnesses():
             system = build_system(m)
             assert np.array_equal(system.matrix @ np.ones(n), n * np.ones(n))
             assert np.array_equal(system.matrix, system.matrix.T)
-            solve(system.matrix, system.rhs, spd_hint=True)  # must not raise
+            solve(system.matrix, system.rhs)  # must not raise
 
         # Exhaustive check at n=4: every subset of the 6 unordered pairs.
         # 38 of the 64 subsets form a connected graph (the count of labeled

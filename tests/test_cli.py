@@ -12,6 +12,7 @@ from pcrank import parse_matrix, rank_gm, s_star
 from pcrank.cli import main
 
 from helpers import (
+    CHAIN_TEXT,
     EXAMPLE4_TEXT,
     EXAMPLE4_WEIGHTS,
     HUGE_FRACTION,
@@ -215,6 +216,53 @@ class TestCompare:
         record = json.loads(capsys.readouterr().out)
         for entry in record["methods"]:
             assert np.abs(np.array(entry["weights"]) - np.array([0.8, 0.2])).max() < 1e-9
+
+
+class TestMethodFailures:
+    """A valid matrix whose weights do not fit in a float: every method fails
+    (gm and lls overflow, Harker's iteration does not converge)."""
+
+    COMMANDS = [["rank", "--method", m] for m in ("gm", "lls", "harker")] + [
+        ["complete"],
+        ["compare"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_one_line_exit_one(self, tmp_path, capsys, command, fmt):
+        path = write(tmp_path, CHAIN_TEXT)
+        assert main([*command, "--format", fmt, path]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"pcrank: {command[-1]}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        if command[0] != "compare":
+            assert out == ""
+
+    def test_compare_lists_every_error(self, tmp_path, capsys):
+        path = write(tmp_path, CHAIN_TEXT)
+        assert main(["compare", "--format", "structured", path]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["methods"] == []
+        assert [e["method"] for e in record["errors"]] == ["gm", "lls", "harker"]
+        assert "not representable" in record["errors"][0]["error"]
+
+    def test_compare_plain_error_rows(self, tmp_path, capsys):
+        path = write(tmp_path, CHAIN_TEXT)
+        assert main(["compare", path]) == 1
+        out = capsys.readouterr().out
+        for method in ("gm", "lls", "harker"):
+            assert f"\n{method:<8}ERROR: " in out
+
+    def test_compare_succeeds_if_any_method_does(self, tmp_path, capsys):
+        # unnormalized GM weights (1e300 .. 1e-300) fit; anchored LLS ones do not
+        path = write(tmp_path, CHAIN_TEXT)
+        assert main(["compare", "--normalize", "none", "--format", "structured", path]) == 0
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert [r["method"] for r in record["methods"]] == ["gm"]
+        assert [e["method"] for e in record["errors"]] == ["lls", "harker"]
+        assert err == ""
 
 
 def test_console_script_installed(example_file):

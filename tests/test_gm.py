@@ -4,14 +4,17 @@ import pytest
 from pcrank import (
     DisconnectedGraphError,
     InvalidMatrixError,
+    UnrepresentableWeightsError,
     build_system,
     complete_matrix,
     ordinal_ranking,
     parse_matrix,
+    prepare,
     rank_gm,
 )
 
 from helpers import (
+    CHAIN_TEXT,
     EXAMPLE4_WEIGHTS,
     example4,
     random_complete,
@@ -157,3 +160,24 @@ class TestCompleteMatrix:
             before = rank_gm(m).weights
             after = rank_gm(complete_matrix(m)).weights
             assert np.abs(before - after).max() < 1e-9
+
+
+class TestUnrepresentable:
+    def test_rank_raises_typed_error(self):
+        with pytest.raises(UnrepresentableWeightsError):
+            rank_gm(parse_matrix(CHAIN_TEXT))
+
+    def test_unnormalized_weights_still_fit(self):
+        w = rank_gm(parse_matrix(CHAIN_TEXT), "none").weights
+        assert w[0] > 1e299 and 0 < w[3] < 1e-299
+
+    def test_complete_raises_typed_error(self):
+        with pytest.raises(UnrepresentableWeightsError):
+            complete_matrix(parse_matrix(CHAIN_TEXT))
+
+
+def test_tolerance_is_set_by_prepare():
+    m = parse_matrix("1,0.3333333333\n3,1\n")
+    assert rank_gm(m).n == 2
+    with pytest.raises(InvalidMatrixError):
+        rank_gm(prepare(m, tol=0.0))

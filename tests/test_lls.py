@@ -3,6 +3,7 @@ import pytest
 
 from pcrank import (
     DisconnectedGraphError,
+    UnrepresentableWeightsError,
     build_lls_system,
     parse_matrix,
     rank_gm,
@@ -10,7 +11,7 @@ from pcrank import (
     s_star,
 )
 
-from helpers import EXAMPLE4_WEIGHTS, example4, random_incomplete
+from helpers import CHAIN_TEXT, EXAMPLE4_WEIGHTS, example4, random_incomplete
 
 
 class TestRankLls:
@@ -75,3 +76,10 @@ class TestLlsSystem:
         ln = np.log
         expected = np.array([ln(2), ln(3), ln(1 / 3) + ln(2), ln(1 / 2) + ln(1 / 2)])
         assert np.abs(system.rhs - expected).max() < 1e-15
+
+
+@pytest.mark.parametrize("anchor", [0, 3])
+def test_unrepresentable_weights_raise_typed_error(anchor):
+    # anchored at a1 the other weights underflow; anchored at a4 they overflow
+    with pytest.raises(UnrepresentableWeightsError):
+        rank_lls(parse_matrix(CHAIN_TEXT), anchor=anchor)

@@ -269,6 +269,27 @@ def test_validate_matches_loop_reference(data):
     assert report.ok == (not expected)
 
 
+def repair_by_loops(m):
+    """Pair-by-pair reference for :func:`repair_reciprocal`."""
+    v = m.values.copy()
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            if np.isnan(v[i, j]) and not np.isnan(v[j, i]):
+                v[i, j] = 1.0 / v[j, i]
+            elif np.isnan(v[j, i]) and not np.isnan(v[i, j]):
+                v[j, i] = 1.0 / v[i, j]
+    return PCMatrix(v, m.labels)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_repair_matches_loop_reference(data):
+    n = data.draw(st.integers(2, 7))
+    entries = st.sampled_from([x for x in SPECIAL if x != 0.0] + [0.5, 3.0])  # 1/0 warns
+    m = PCMatrix(np.array([[data.draw(entries) for _ in range(n)] for _ in range(n)]))
+    assert repair_reciprocal(m).equals(repair_by_loops(m))
+
+
 class TestValidate:
     def test_example4_is_ok(self):
         report = validate(example4())

@@ -6,6 +6,7 @@ import pytest
 from pcrank import (
     IncompleteMatrixError,
     PCMatrix,
+    UnrepresentableWeightsError,
     compare_rankings,
     complete_matrix,
     format_ranking,
@@ -143,3 +144,27 @@ class TestMethodReport:
         assert report.ranking == ((1,), (0, 2), (3,))
         assert report.diagnostics == {"linear_residual": 0.0}
         assert report.vector is vector
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("normalization", ["sum", "max", "none"])
+    def test_scales(self, normalization):
+        w = normalize(np.array([1.0, 3.0]), normalization).weights
+        expected = {"sum": [0.25, 0.75], "max": [1 / 3, 1.0], "none": [1.0, 3.0]}
+        assert np.array_equal(w, expected[normalization])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1e-300, 1e300], [np.inf, 1.0], [1e308, 1e308], [0.0, 1.0]],
+        ids=["underflow", "inf", "sum-overflow", "zero"],
+    )
+    def test_unrepresentable_raises_typed_error(self, weights):
+        with pytest.raises(UnrepresentableWeightsError):
+            normalize(np.array(weights))
+
+    def test_typed_error_is_arithmetic(self):
+        assert issubclass(UnrepresentableWeightsError, ArithmeticError)
+
+    def test_unknown_normalization(self):
+        with pytest.raises(ValueError):
+            normalize(np.array([1.0, 2.0]), "median")
