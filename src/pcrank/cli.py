@@ -131,7 +131,7 @@ def _diagnostics(method: str, p: Problem, vector: PriorityVector) -> dict:
         # The Laplacian residual ignores the constant log-shift that
         # normalization introduces, so it works for both solvers as-is.
         return {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
-    b = build_harker(p).matrix
+    b = build_harker(p)
     v = vector.weights / vector.weights.sum()
     lam = float((b @ v).sum())
     return {"lambda_max": lam, "eigen_residual": float(np.abs(b @ v - lam * v).max())}
@@ -250,13 +250,8 @@ def _cmd_compare(p: Problem, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = _read_text(args.path)
-    except OSError as e:
-        print(f"pcrank: error: {e}", file=sys.stderr)
-        return 2
-    try:
-        matrix = parse_matrix(text)
-    except ValueError as e:  # ParseError, ShapeError, bad numerals
+        matrix = parse_matrix(_read_text(args.path))
+    except (OSError, ValueError) as e:  # also UnicodeDecodeError, ParseError, ShapeError
         print(f"pcrank: error: {e}", file=sys.stderr)
         return 2
 

@@ -19,47 +19,31 @@ complete matrix this reduces to plain row geometric means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import SingularMatrixError, solve
 from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 
-__all__ = ["GmSystem", "build_system", "rank_gm", "complete_matrix"]
+__all__ = ["build_system", "rank_gm", "complete_matrix"]
 
 
-@dataclass(frozen=True)
-class GmSystem:
-    """Linear system ``matrix @ x = rhs`` whose solution is the log-weights."""
+def build_system(m: PCMatrix | Problem) -> np.ndarray:
+    """The log-weight system matrix L + J of a valid, connected matrix.
 
-    matrix: np.ndarray
-    rhs: np.ndarray
-    missing_counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rhs.size
-
-
-def build_system(m: PCMatrix | Problem) -> GmSystem:
-    """Assemble the log-weight system (L + J) x = b for a valid, connected matrix.
-
-    Raises DisconnectedGraphError / InvalidMatrixError via validation.
+    The right-hand side is ``prepare(m).log_row_sums``.  Raises
+    DisconnectedGraphError / InvalidMatrixError via validation.
     """
-    p = prepare(m)
-    return GmSystem(p.laplacian + 1.0, p.log_row_sums, p.missing.sum(axis=1))
+    return prepare(m).laplacian + 1.0
 
 
-def _solve_log_weights(m: PCMatrix | Problem) -> np.ndarray:
-    system = build_system(m)
+def _solve_log_weights(p: Problem) -> np.ndarray:
     try:
-        return solve(system.matrix, system.rhs)
+        return solve(build_system(p), p.log_row_sums)
     except SingularMatrixError as e:  # impossible for connected graphs
         raise RuntimeError(
-            f"singular geometric-mean system for a validated matrix (n={system.n}, "
-            f"missing per row {system.missing_counts.tolist()}); "
+            f"singular geometric-mean system for a validated matrix (n={p.matrix.n}, "
+            f"missing per row {p.missing.sum(axis=1).tolist()}); "
             "this indicates corrupted input or an internal bug"
         ) from e
 
@@ -70,7 +54,7 @@ def rank_gm(m: PCMatrix | Problem, normalization: Normalization = "sum") -> Prio
     For a complete matrix this equals the normalized row geometric means.
     Raises UnrepresentableWeightsError when the weights do not fit in a float.
     """
-    x = _solve_log_weights(m)
+    x = _solve_log_weights(prepare(m))
     with np.errstate(over="ignore"):  # normalize rejects the infinities
         w = np.exp(x)
     return normalize(w, normalization)

@@ -6,9 +6,12 @@ definition.  Connectivity decides whether a ranking exists.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .matrix import PCMatrix
+if TYPE_CHECKING:
+    from .matrix import PCMatrix
 
 __all__ = ["graph_of", "laplacian", "is_connected", "connected_components"]
 

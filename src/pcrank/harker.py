@@ -15,39 +15,31 @@ For a complete matrix B equals the matrix itself and this is plain EVM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import power_iteration
 from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
-__all__ = ["HarkerSystem", "build_harker", "rank_harker"]
+__all__ = ["build_harker", "rank_harker"]
 
 
-@dataclass(frozen=True)
-class HarkerSystem:
-    """Eigenproblem matrix B and the per-row missing counts s_i."""
-
-    matrix: np.ndarray
-    missing_counts: np.ndarray
-
-
-def build_harker(m: PCMatrix | Problem) -> HarkerSystem:
+def build_harker(m: PCMatrix | Problem) -> np.ndarray:
+    """The eigenproblem matrix B: present entries, 0 where missing, s_i + 1
+    on the diagonal."""
     p = prepare(m)
-    counts = p.missing.sum(axis=1)
     b = np.where(p.missing, 0.0, p.matrix.values)
-    np.fill_diagonal(b, counts + 1)
-    return HarkerSystem(b, counts)
+    np.fill_diagonal(b, p.missing.sum(axis=1) + 1)
+    return b
 
 
 def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
     """Principal-eigenvector priority vector of Harker's completion.
 
-    Raises ConvergenceError if power iteration does not converge; callers
+    Raises ConvergenceError if power iteration does not converge, and
+    UnrepresentableWeightsError when the eigenvector underflows; callers
     presenting several methods side by side should report that per method
     rather than abort.
     """
-    _, v = power_iteration(build_harker(m).matrix)
+    _, v = power_iteration(build_harker(m))
     return normalize(v, normalization)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .priority import UnrepresentableWeightsError
+
 __all__ = [
     "SingularMatrixError",
     "ConvergenceError",
@@ -69,7 +71,9 @@ def power_iteration(
     step; for the primitive matrices produced upstream (positive diagonal,
     connected graph) convergence is geometric.  Returns (lam, v) with
     max|a @ v - lam * v| <= tol * lam * max|v|, v strictly positive and
-    summing to 1.  Raises ConvergenceError after ``max_iter`` steps.
+    summing to 1.  Raises ConvergenceError after ``max_iter`` steps or when
+    ``v`` has a zero entry, except that with a positive diagonal a zero entry
+    can only be underflow, which raises UnrepresentableWeightsError.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
@@ -87,7 +91,9 @@ def power_iteration(
         av = a @ v  # checks this step's residual and seeds the next step
         residual = float(np.abs(av - lam * v).max())
         if residual <= tol * lam * float(np.abs(v).max()):
-            if not (v > 0).all():
-                raise ConvergenceError("eigenvector is not strictly positive; matrix may be reducible")
-            return lam, v
+            if (v > 0).all():
+                return lam, v
+            if (np.diag(a) > 0).all():  # then a @ v > 0 for every v > 0: a 0 is underflow
+                raise UnrepresentableWeightsError("eigenvector is not representable in double precision")
+            raise ConvergenceError("eigenvector is not strictly positive; matrix may be reducible")
     raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {residual:.3e})")

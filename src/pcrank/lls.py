@@ -14,31 +14,26 @@ rounding error; this module exists as the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import solve
 from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
-__all__ = ["LlsSystem", "build_lls_system", "rank_lls"]
+__all__ = ["build_lls_system", "rank_lls"]
 
 
-@dataclass(frozen=True)
-class LlsSystem:
-    """Laplacian system ``laplacian @ x = rhs`` with one entry pinned to 0."""
+def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
+    """The Laplacian with row and column ``anchor`` removed: the symmetric
+    positive definite matrix LLS solves once x[anchor] is pinned to 0.
 
-    laplacian: np.ndarray
-    rhs: np.ndarray
-    anchored_index: int
-
-
-def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> LlsSystem:
+    The right-hand side is ``prepare(m).log_row_sums`` without entry
+    ``anchor``.  Raises IndexError for an anchor out of range.
+    """
     p = prepare(m)
     if not 0 <= anchor < p.matrix.n:
         raise IndexError(f"anchor {anchor} out of range for n={p.matrix.n}")
-    return LlsSystem(p.laplacian, p.log_row_sums, anchor)
+    return np.delete(np.delete(p.laplacian, anchor, axis=0), anchor, axis=1)
 
 
 def rank_lls(
@@ -48,12 +43,8 @@ def rank_lls(
 
     Raises UnrepresentableWeightsError when the weights do not fit in a float.
     """
-    system = build_lls_system(m, anchor)
-    n = system.rhs.size
-    keep = [i for i in range(n) if i != anchor]
-    reduced = system.laplacian[np.ix_(keep, keep)]
-    x = np.zeros(n)
-    x[keep] = solve(reduced, system.rhs[keep])
+    p = prepare(m)
+    x = solve(build_lls_system(p, anchor), np.delete(p.log_row_sums, anchor))
     with np.errstate(over="ignore"):  # normalize rejects the infinities
-        w = np.exp(x)
+        w = np.exp(np.insert(x, anchor, 0.0))
     return normalize(w, normalization)

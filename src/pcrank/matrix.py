@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import connected_components, graph_of, laplacian
+
 __all__ = [
     "MISSING",
     "PCMatrix",
@@ -38,7 +40,6 @@ __all__ = [
     "default_labels",
     "Problem",
     "prepare",
-    "log_entries",
     "log_row_sums",
 ]
 
@@ -274,8 +275,6 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     Violations are listed by kind in the order above, each kind in row-major
     order of its positions.
     """
-    from .graph import connected_components, graph_of
-
     v = m.values
     n = m.n
     missing = np.isnan(v)
@@ -368,8 +367,6 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     """
     if isinstance(m, Problem):
         return m
-    from .graph import graph_of, laplacian
-
     require_valid(m, tol)
     arrays = (m.missing_mask, laplacian(graph_of(m)), log_row_sums(m))
     for a in arrays:

@@ -13,6 +13,7 @@ import numpy as np
 
 from pcrank import (
     build_system,
+    prepare,
     rank_gm,
     rank_harker,
     rank_lls,
@@ -75,7 +76,7 @@ def test_golden_example_system_matrix():
                 [0.0, 1.0, 0.0, 3.0],
             ]
         )
-        assert np.array_equal(system.matrix, expected)
+        assert np.array_equal(system, expected)
 
 
 def test_gm_lls_equivalence_on_1000_instances():
@@ -119,9 +120,9 @@ def test_nonsingularity_witnesses():
             n = int(rng.integers(3, 11))
             m = random_incomplete(n, rng, p=0.4)
             system = build_system(m)
-            assert np.array_equal(system.matrix @ np.ones(n), n * np.ones(n))
-            assert np.array_equal(system.matrix, system.matrix.T)
-            solve(system.matrix, system.rhs)  # must not raise
+            assert np.array_equal(system @ np.ones(n), n * np.ones(n))
+            assert np.array_equal(system, system.T)
+            solve(system, prepare(m).log_row_sums)  # must not raise
 
         # Exhaustive check at n=4: every subset of the 6 unordered pairs.
         # 38 of the 64 subsets form a connected graph (the count of labeled
@@ -148,7 +149,7 @@ def test_nonsingularity_witnesses():
                 for i, j in set(pairs) - set(edges):
                     values[i, j] = values[j, i] = np.nan
                 system = build_system(PCMatrix(values))
-                assert np.array_equal(system.matrix, lap + np.ones((4, 4)))
+                assert np.array_equal(system, lap + np.ones((4, 4)))
             else:
                 assert abs(det) < 1e-9
         assert connected_count == 38

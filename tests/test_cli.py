@@ -65,6 +65,14 @@ class TestExitCodes:
         assert main(["rank", "/no/such/file.pcm"]) == 2
         capsys.readouterr()
 
+    def test_undecodable_file_is_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.pcm"
+        path.write_bytes(b"1,2\n\xff,1\n")
+        assert main(["rank", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcrank: error: ") and "decode" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_shape_failure_is_two(self, tmp_path, capsys):
         path = write(tmp_path, "1,2\n0.5,1,3\n")
         assert main(["rank", path]) == 2
@@ -220,7 +228,8 @@ class TestCompare:
 
 class TestMethodFailures:
     """A valid matrix whose weights do not fit in a float: every method fails
-    (gm and lls overflow, Harker's iteration does not converge)."""
+    with the same typed error (gm and lls overflow, Harker's eigenvector
+    underflows)."""
 
     COMMANDS = [["rank", "--method", m] for m in ("gm", "lls", "harker")] + [
         ["complete"],
@@ -238,6 +247,7 @@ class TestMethodFailures:
         assert "Traceback" not in err
         if command[0] != "compare":
             assert out == ""
+            assert "not representable" in err
 
     def test_compare_lists_every_error(self, tmp_path, capsys):
         path = write(tmp_path, CHAIN_TEXT)

@@ -3,32 +3,34 @@ import pytest
 
 from pcrank import (
     DisconnectedGraphError,
+    UnrepresentableWeightsError,
     build_harker,
     compare_rankings,
     ordinal_ranking,
     parse_matrix,
     power_iteration,
+    prepare,
     rank_gm,
     rank_harker,
 )
 
-from helpers import consistent_complete, example4, random_complete, random_incomplete
+from helpers import CHAIN_TEXT, consistent_complete, example4, random_complete, random_incomplete
 
 
 class TestBuildHarker:
     def test_example4_matrix(self):
         system = build_harker(example4())
         # rows 1 and 2 are missing two comparisons each, rows 3 and 4 one each
-        assert np.array_equal(np.diag(system.matrix), [3.0, 3.0, 2.0, 2.0])
-        assert np.array_equal(system.missing_counts, [2, 2, 1, 1])
-        assert system.matrix[0, 3] == 2.0
-        assert system.matrix[0, 1] == 0.0
-        assert system.matrix[2, 1] == pytest.approx(1 / 3)
-        assert system.matrix[3, 0] == 0.5
+        assert np.array_equal(np.diag(system), [3.0, 3.0, 2.0, 2.0])
+        assert np.array_equal(prepare(example4()).missing.sum(1), [2, 2, 1, 1])
+        assert system[0, 3] == 2.0
+        assert system[0, 1] == 0.0
+        assert system[2, 1] == pytest.approx(1 / 3)
+        assert system[3, 0] == 0.5
 
     def test_complete_matrix_is_unchanged(self):
         m = random_complete(5, np.random.default_rng(0))
-        assert np.array_equal(build_harker(m).matrix, m.values)
+        assert np.array_equal(build_harker(m), m.values)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -83,3 +85,9 @@ class TestRankHarker:
         perturbed[1, 0] /= 4.0
         lam, _ = power_iteration(perturbed)
         assert lam > 6.0 + 1e-6
+
+
+def test_underflowing_eigenvector_raises_typed_error():
+    # valid and connected, but the eigenvector spans 1e600: its tail underflows to 0
+    with pytest.raises(UnrepresentableWeightsError):
+        rank_harker(parse_matrix(CHAIN_TEXT))

@@ -101,6 +101,11 @@ class TestPowerIteration:
         with pytest.raises(ConvergenceError):
             power_iteration(np.array([[1.0, 2.0], [0.5, 1.0]]), tol=0.0, max_iter=1)
 
+    def test_zero_entry_without_positive_diagonal_raises(self):
+        # a zero component that is not underflow: the matrix is reducible
+        with pytest.raises(ConvergenceError, match="reducible"):
+            power_iteration(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             power_iteration(np.array([[1.0, -1.0], [1.0, 1.0]]))

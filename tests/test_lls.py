@@ -6,6 +6,7 @@ from pcrank import (
     UnrepresentableWeightsError,
     build_lls_system,
     parse_matrix,
+    prepare,
     rank_gm,
     rank_lls,
     s_star,
@@ -65,17 +66,17 @@ class TestRankLls:
 
 class TestLlsSystem:
     def test_laplacian_structure(self):
-        system = build_lls_system(example4())
-        lap = system.laplacian
+        lap = prepare(example4()).laplacian
         assert np.array_equal(lap, lap.T)
         assert np.array_equal(lap @ np.ones(4), np.zeros(4))
-        assert system.anchored_index == 0
+        assert np.array_equal(build_lls_system(example4()), lap[1:, 1:])
+        assert np.array_equal(build_lls_system(example4(), 2), lap[np.ix_([0, 1, 3], [0, 1, 3])])
 
     def test_rhs_from_present_entries_only(self):
-        system = build_lls_system(example4())
+        rhs = prepare(example4()).log_row_sums
         ln = np.log
         expected = np.array([ln(2), ln(3), ln(1 / 3) + ln(2), ln(1 / 2) + ln(1 / 2)])
-        assert np.abs(system.rhs - expected).max() < 1e-15
+        assert np.abs(rhs - expected).max() < 1e-15
 
 
 @pytest.mark.parametrize("anchor", [0, 3])
