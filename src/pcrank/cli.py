@@ -144,7 +144,7 @@ def _cmd_rank(p: Problem, args) -> int:
     except _METHOD_ERRORS as e:
         print(f"pcrank: {args.method}: {e}", file=sys.stderr)
         return 1
-    report = method_report(args.method, m, vector, _diagnostics(args.method, p, vector))
+    report = method_report(args.method, p, vector, _diagnostics(args.method, p, vector))
     if args.format == "structured":
         record = {"command": "rank", "labels": list(m.labels)}
         record.update(_report_json(report, m.labels))
@@ -213,7 +213,7 @@ def _cmd_compare(p: Problem, args) -> int:
         except _METHOD_ERRORS as e:
             failures.append((method, str(e)))
             continue
-        reports.append(method_report(method, m, vector, _diagnostics(method, p, vector)))
+        reports.append(method_report(method, p, vector, _diagnostics(method, p, vector)))
 
     max_diff = 0.0
     for a in range(len(reports)):

@@ -106,7 +106,14 @@ class PCMatrix:
         if len(labels) != v.shape[0]:
             raise ValueError(f"{len(labels)} labels for {v.shape[0]} alternatives")
         for name in labels:
-            if not name or "," in name or "\n" in name or name.startswith("#"):
+            # Exactly the names a ``# labels:`` line reads back unchanged.
+            if (
+                not name
+                or "," in name
+                or name.startswith("#")
+                or name != name.strip()
+                or name.splitlines() != [name]
+            ):
                 raise ValueError(f"invalid alternative label {name!r}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -205,30 +212,11 @@ def _parse_token(token: str, line: int, column: int) -> float:
     return value
 
 
-def parse_matrix(text: str) -> PCMatrix:
-    """Parse matrix text into a :class:`PCMatrix`.
-
-    Only shape and token syntax are checked here; semantic problems
-    (reciprocity, connectivity, ...) are the job of :func:`validate`.
-
-    Raises ParseError for a bad token or a zero, negative, non-finite or
-    out-of-range numeral, and ShapeError for a non-square layout.
-    """
+def _read_tokens(data: list[tuple[int, str]]) -> np.ndarray:
+    """Data rows ``(line number, raw line)`` read token by token; the one place
+    a bad token or a ragged row is reported."""
     rows: list[list[float]] = []
-    row_lines: list[int] = []
-    labels: list[str] | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            m = _LABELS_RE.match(stripped)
-            if m and labels is None and not rows:
-                labels = [f.strip() for f in m.group(1).split(",")]
-                if any(not name for name in labels):
-                    raise ParseError("empty name in labels comment", lineno)
-            continue
+    for lineno, raw in data:
         row: list[float] = []
         column = 1
         for piece in raw.split(","):
@@ -237,20 +225,94 @@ def parse_matrix(text: str) -> PCMatrix:
             row.append(_parse_token(token, lineno, token_col))
             column += len(piece) + 1
         rows.append(row)
-        row_lines.append(lineno)
-
-    if not rows:
-        raise ShapeError("no matrix rows found")
     width = len(rows[0])
-    for k, row in enumerate(rows):
+    for (lineno, _), row in zip(data, rows):
         if len(row) != width:
-            raise ShapeError(f"line {row_lines[k]}: expected {width} fields, got {len(row)}")
-    if len(rows) != width:
-        raise ShapeError(f"{len(rows)} rows but {width} columns")
+            raise ShapeError(f"line {lineno}: expected {width} fields, got {len(row)}")
+    return np.array(rows, dtype=float)
+
+
+#: Bytes of data rows the bulk reader takes: ``?``, decimals, separators.
+_BULK_BYTES = b"0123456789.eE+-?,\n"
+
+
+def _read_bulk(lines: list[str]) -> np.ndarray | None:
+    """Data rows read at once when every field is ``?`` or a blank-free ASCII
+    decimal, every value is finite and positive, and the rows have equal
+    width; None otherwise, for :func:`_read_tokens` to read or reject.
+
+    Over the bytes ``[0-9.eE+-]``, float() accepts exactly the language of
+    _DECIMAL_RE, so the values equal those _parse_token returns.
+    """
+    text = "\n".join(lines)
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _BULK_BYTES):
+        return None
+    padded = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    is_sep = (padded == ord(",")) | (padded == ord("\n"))
+    marks = np.flatnonzero(padded == ord("?"))
+    if not (is_sep[marks - 1].all() and is_sep[marks + 1].all()):
+        return None  # a ``?`` inside a field
+    sep_at = np.flatnonzero(is_sep)  # the first and last are the padding
+    # Rows are of equal width when "\n" closes every width-th field.
+    if (sep_at.size - 1) % len(lines) or not (
+        padded[sep_at[1:]].reshape(len(lines), -1)[:, -1] == ord("\n")
+    ).all():
+        return None  # ragged rows
+    missing = padded[sep_at[:-1] + 1] == ord("?")
+    # Each "?," is now a whole missing field: drop them, split the rest.
+    present = (raw.replace(b"\n", b",") + b",").replace(b"?,", b"").split(b",")[:-1]
+    try:
+        parsed = np.fromiter(map(float, present), dtype=float, count=len(present))
+    except ValueError:  # an empty field or a token outside _DECIMAL_RE
+        return None
+    if not ((parsed > 0) & (parsed < math.inf)).all():
+        return None
+    values = np.full(missing.size, MISSING)
+    values[~missing] = parsed
+    return values.reshape(len(lines), -1)
+
+
+def parse_matrix(text: str) -> PCMatrix:
+    """Parse matrix text into a :class:`PCMatrix`.
+
+    Only shape and token syntax are checked here; semantic problems
+    (reciprocity, connectivity, ...) are the job of :func:`validate`.
+    A leading byte-order mark is ignored.
+
+    Raises ParseError for a bad token or a zero, negative, non-finite or
+    out-of-range numeral, and ShapeError for a non-square layout.
+    """
+    data: list[tuple[int, str]] = []
+    labels: list[str] | None = None
+
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            m = _LABELS_RE.match(stripped)
+            if m and labels is None and not data:
+                labels = [f.strip() for f in m.group(1).split(",")]
+                if any(not name for name in labels):
+                    raise ParseError("empty name in labels comment", lineno)
+            continue
+        data.append((lineno, raw))
+
+    if not data:
+        raise ShapeError("no matrix rows found")
+    values = _read_bulk([raw for _, raw in data])
+    if values is None:
+        values = _read_tokens(data)
+    rows, width = values.shape
+    if rows != width:
+        raise ShapeError(f"{rows} rows but {width} columns")
     if labels is not None and len(labels) != width:
         raise ParseError(f"labels comment names {len(labels)} alternatives, matrix has {width}")
 
-    return PCMatrix(np.array(rows, dtype=float), tuple(labels) if labels else ())
+    return PCMatrix(values, tuple(labels) if labels else ())
 
 
 def serialize_matrix(m: PCMatrix) -> str:
@@ -262,8 +324,10 @@ def serialize_matrix(m: PCMatrix) -> str:
     lines = []
     if m.labels != default_labels(m.n):
         lines.append("# labels: " + ",".join(m.labels))
-    for row in m.values:
-        lines.append(",".join("?" if math.isnan(x) else f"{x:.17g}" for x in row))
+    # "%.17g" renders NaN, and only NaN, as text containing "nan".
+    row_format = ",".join(["%.17g"] * m.n)
+    for row in m.values.tolist():
+        lines.append((row_format % tuple(row)).replace("nan", "?"))
     return "\n".join(lines) + "\n"
 
 
@@ -340,12 +404,15 @@ class Problem:
 
     Build it with :func:`prepare` only: holding a Problem means the matrix is
     valid and its comparison graph connected.  ``missing`` marks the missing
-    comparisons; a valid diagonal is never missing.  The arrays are read-only.
+    comparisons; a valid diagonal is never missing.  ``log_entries`` holds
+    ln c[i,j] where present and 0 where missing; ``log_row_sums`` are its row
+    sums.  The arrays are read-only.
     """
 
     matrix: PCMatrix
     missing: np.ndarray
     laplacian: np.ndarray
+    log_entries: np.ndarray
     log_row_sums: np.ndarray
 
 
@@ -368,7 +435,8 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     if isinstance(m, Problem):
         return m
     require_valid(m, tol)
-    arrays = (m.missing_mask, laplacian(graph_of(m)), log_row_sums(m))
+    logs = log_entries(m)
+    arrays = (m.missing_mask, laplacian(graph_of(m)), logs, logs.sum(axis=1))
     for a in arrays:
         a.setflags(write=False)
     return Problem(m, *arrays)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import PCMatrix, log_entries
+from .matrix import PCMatrix, Problem, log_entries
 from .priority import PriorityVector
 
 __all__ = [
@@ -49,15 +49,20 @@ def s_complete(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
     return s_star(m, w)
 
 
-def s_star(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
+def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
     """Like :func:`s_complete`, but missing entries are simply left out.
 
     Equals s_complete on complete matrices, and equals s_complete of the
-    geometric-mean completion evaluated at the same weights.
+    geometric-mean completion evaluated at the same weights.  A Problem
+    lends its logarithms and missing mask instead of recomputing them.
     """
+    if isinstance(m, Problem):
+        logs, missing = m.log_entries, m.missing
+    else:
+        logs, missing = log_entries(m), m.missing_mask
     x = np.log(_weights_of(w))
-    terms = (log_entries(m) - (x[:, None] - x[None, :])) ** 2
-    return float(np.where(m.missing_mask, 0.0, terms).sum())
+    terms = (logs - (x[:, None] - x[None, :])) ** 2
+    return float(np.where(missing, 0.0, terms).sum())
 
 
 def ordinal_ranking(w: PriorityVector | np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -114,7 +119,7 @@ class MethodReport:
 
 def method_report(
     method: str,
-    m: PCMatrix,
+    m: PCMatrix | Problem,
     vector: PriorityVector,
     diagnostics: dict | None = None,
 ) -> MethodReport:

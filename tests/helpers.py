@@ -115,13 +115,20 @@ def connected_by_union_find(n: int, edges) -> bool:
     return uf.component_count() <= 1
 
 
-def record_validate_calls(monkeypatch) -> list:
-    """Count calls of pcrank's validate, however they are reached."""
-    import pcrank.matrix
-
+def record_calls(monkeypatch, func) -> list:
+    """Count calls of a pcrank function through every module-level name bound
+    to it, so ``from .matrix import f`` references are counted too."""
     calls: list = []
-    real = pcrank.matrix.validate
-    monkeypatch.setattr(pcrank.matrix, "validate", lambda m, tol: calls.append(m) or real(m, tol))
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pcrank":
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
 
 

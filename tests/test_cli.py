@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcrank import parse_matrix, rank_gm, s_star
+from pcrank import parse_matrix, rank_gm, s_star, serialize_matrix, validate
 from pcrank.cli import main
+from pcrank.matrix import log_entries
 
 from helpers import (
     CHAIN_TEXT,
@@ -17,7 +18,8 @@ from helpers import (
     EXAMPLE4_WEIGHTS,
     HUGE_FRACTION,
     example4,
-    record_validate_calls,
+    random_incomplete,
+    record_calls,
 )
 
 DISCONNECTED_TEXT = "1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"
@@ -120,6 +122,21 @@ class TestRank:
         assert main(["rank", "-"]) == 0
         assert "a2 0.5455" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", [EXAMPLE4_TEXT, "# labels: p,q,r,s\n" + EXAMPLE4_TEXT])
+    def test_byte_order_mark_ignored(self, tmp_path, capsys, monkeypatch, text):
+        """Excel's "CSV UTF-8" and Notepad start the file with a BOM."""
+        import io
+
+        assert main(["rank", write(tmp_path, text)]) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "bom.pcm"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["rank", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        assert main(["rank", "-"]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestValidate:
     def test_ok_summary(self, example_file, capsys):
@@ -179,6 +196,19 @@ class TestComplete:
         assert main(["complete", path]) == 1
         capsys.readouterr()
 
+    def test_large_input_roundtrip(self, tmp_path, capsys):
+        """n = 200 with about 60 % missing, written as blank-free ``repr``
+        decimals: the input the bulk reader takes, through ``complete``."""
+        m = random_incomplete(200, np.random.default_rng(2024), p=0.6)
+        rows = [",".join("?" if np.isnan(x) else repr(x) for x in row) for row in m.values.tolist()]
+        path = write(tmp_path, "\n".join(rows) + "\n")
+        assert main(["complete", path]) == 0
+        completed = parse_matrix(capsys.readouterr().out)
+        assert completed.is_complete()
+        present = ~m.missing_mask
+        assert np.array_equal(completed.values[present], m.values[present])
+        assert parse_matrix(serialize_matrix(completed)).equals(completed)
+
     def test_structured_rows(self, example_file, capsys):
         assert main(["complete", "--format", "structured", example_file]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -213,7 +243,13 @@ class TestCompare:
         assert record["max_pairwise_diff"] < 1e-9
 
     def test_validates_once(self, example_file, capsys, monkeypatch):
-        calls = record_validate_calls(monkeypatch)
+        calls = record_calls(monkeypatch, validate)
+        assert main(["compare", "--format", "structured", example_file]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_takes_logarithms_once(self, example_file, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, log_entries)
         assert main(["compare", "--format", "structured", example_file]) == 0
         capsys.readouterr()
         assert len(calls) == 1

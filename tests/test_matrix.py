@@ -1,11 +1,11 @@
 import math
-import string
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pcrank import (
     DisconnectedGraphError,
@@ -27,16 +27,21 @@ from pcrank import (
     rank_lls,
     repair_reciprocal,
     require_valid,
+    s_star,
     serialize_matrix,
     validate,
 )
 from pcrank.matrix import (
+    _LABELS_RE,
+    _parse_token,
     ASYMMETRIC_MISSINGNESS,
     DIAGONAL_NOT_ONE,
     DISCONNECTED,
     NON_POSITIVE,
     NON_RECIPROCAL,
     ROW_ALL_MISSING,
+    default_labels,
+    log_entries,
 )
 
 from helpers import (
@@ -46,7 +51,7 @@ from helpers import (
     delete_random_pairs,
     example4,
     random_complete,
-    record_validate_calls,
+    record_calls,
 )
 
 # One matrix with every violation kind, several positions each, and entries
@@ -86,6 +91,8 @@ class TestParse:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ShapeError):
             parse_matrix("1,2\n0.5,1,3")
+        with pytest.raises(ShapeError, match="line 2: expected 3 fields, got 2"):
+            parse_matrix("1,2,3\n1,2\n1,2,3,4\n")  # 9 fields in 3 rows
 
     def test_row_column_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -139,7 +146,9 @@ class TestParse:
             parse_matrix(f"1, {token}\n1,1\n")
         assert (exc.value.line, exc.value.column) == (1, 4)
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "two", "1//2", "1 2", ""])
+    @pytest.mark.parametrize(
+        "token", ["nan", "inf", "two", "1//2", "1 2", "", "1?", "?1", "??", "-?", "1e", "+-1"]
+    )
     def test_tokens_outside_grammar(self, token):
         with pytest.raises(ParseError):
             parse_matrix(f"1,{token}\n1,1\n")
@@ -171,27 +180,130 @@ class TestSerialize:
         assert again.equals(m)
 
 
+def parse_by_tokens(text):
+    """Token-by-token reference for :func:`parse_matrix`: every field goes
+    through ``_parse_token``, in the order of the text."""
+    rows, row_lines, labels = [], [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            m = _LABELS_RE.match(stripped)
+            if m and labels is None and not rows:
+                labels = [f.strip() for f in m.group(1).split(",")]
+                if any(not name for name in labels):
+                    raise ParseError("empty name in labels comment", lineno)
+            continue
+        row, column = [], 1
+        for piece in raw.split(","):
+            token_col = column + (len(piece) - len(piece.lstrip()))
+            row.append(_parse_token(piece.strip(), lineno, token_col))
+            column += len(piece) + 1
+        rows.append(row)
+        row_lines.append(lineno)
+    if not rows:
+        raise ShapeError("no matrix rows found")
+    width = len(rows[0])
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeError(f"line {row_lines[k]}: expected {width} fields, got {len(row)}")
+    if len(rows) != width:
+        raise ShapeError(f"{len(rows)} rows but {width} columns")
+    if labels is not None and len(labels) != width:
+        raise ParseError(f"labels comment names {len(labels)} alternatives, matrix has {width}")
+    return PCMatrix(np.array(rows, dtype=float), tuple(labels) if labels else ())
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+
+
+#: Any positive finite float, the subnormal and largest ones included.
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+)
+#: Fields the bulk reader takes, and fields it leaves to the token reader.
+BULK_FIELDS = st.one_of(
+    st.sampled_from(["?", "1", "2", "0.5", ".25", "3.", "1e3", "2.5E-2", "+4", "007"]),
+    POSITIVE.map(repr),
+)
+OTHER_FIELDS = st.sampled_from(
+    ["1/3", "7/2", " 2", "3 ", "\t5", "1e400", "1e-400", "0", "-1", "+-1", "1e", "?1", "1?", "-?", "??",
+     "", "\u0663", "inf", "nan", "1/0", "1.2.3", "e5", "."]
+)
+
+
 @st.composite
-def pc_matrices(draw):
-    n = draw(st.integers(2, 5))
-    values = np.ones((n, n))
-    ratio = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, exclude_min=True)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                values[i, j] = values[j, i] = math.nan
-            else:
-                x = draw(ratio)
-                values[i, j] = x
-                values[j, i] = 1.0 / x
+def matrix_texts(draw):
+    """Rows of bulk fields, with up to two fields swapped for other ones."""
+    n = draw(st.integers(1, 5))
+    widths = [n] * n
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):  # ragged rows
+        widths[draw(st.integers(0, n - 1))] = draw(st.sampled_from([max(1, n - 1), n + 1]))
+    rows = [draw(st.lists(BULK_FIELDS, min_size=w, max_size=w)) for w in widths]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(OTHER_FIELDS)
+    lines = []
     if draw(st.booleans()):
-        alphabet = string.ascii_letters + string.digits + "_"
-        labels = draw(
-            st.lists(
-                st.text(alphabet, min_size=1, max_size=8), min_size=n, max_size=n, unique=True
-            )
-        )
-        return PCMatrix(values, tuple(labels))
+        names = [f"x{k}" for k in range(draw(st.sampled_from([n, n, n, n + 1])))]
+        lines.append(draw(st.sampled_from(["# labels: ", "#labels:", "  # labels : "])) + ",".join(names))
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "\x0c", "   ", "# note"])))
+        lines.append(",".join(row))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300)
+@given(matrix_texts())
+def test_parse_matches_token_reference(text):
+    got, want = parse_outcome(parse_matrix, text), parse_outcome(parse_by_tokens, text)
+    if isinstance(want, PCMatrix):
+        assert isinstance(got, PCMatrix) and got.equals(want)
+    else:
+        assert got == want
+
+
+def test_bulk_text_makes_no_token_calls(monkeypatch):
+    calls = record_calls(monkeypatch, _parse_token)
+    parse_matrix("# labels: x,y,z\n1,?,2.5e-1\n?,1,3\n4,0.33333333333333331,1\n")
+    assert calls == []
+    parse_matrix("1,1/2\n2,1\n")  # a fraction: read token by token
+    assert len(calls) == 4
+
+
+def serialize_by_fstrings(m):
+    """Number-by-number reference for :func:`serialize_matrix`."""
+    lines = [] if m.labels == default_labels(m.n) else ["# labels: " + ",".join(m.labels)]
+    for row in m.values:
+        lines.append(",".join("?" if math.isnan(x) else f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def accepted_label(name):
+    try:
+        PCMatrix(np.ones((2, 2)), (name, "b"))
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def pc_matrices(draw, elements=POSITIVE):
+    """Matrices of up to 12 alternatives whose entries come from a few drawn
+    values and NaN, so that generation stays fast at n = 12."""
+    n = draw(st.integers(2, 12))
+    pool = np.array([*draw(st.lists(elements, min_size=1, max_size=6)), math.nan])
+    values = pool[draw(arrays(np.intp, (n, n), elements=st.integers(0, pool.size - 1)))]
+    if draw(st.booleans()):
+        label = st.text(min_size=1, max_size=8).filter(accepted_label)
+        return PCMatrix(values, tuple(draw(st.lists(label, min_size=n, max_size=n))))
     return PCMatrix(values)
 
 
@@ -199,6 +311,12 @@ def pc_matrices(draw):
 @given(pc_matrices())
 def test_roundtrip_property(m):
     assert parse_matrix(serialize_matrix(m)).equals(m)
+
+
+@settings(max_examples=100)
+@given(pc_matrices(elements=st.floats()))
+def test_serialize_matches_fstring_reference(m):
+    assert serialize_matrix(m) == serialize_by_fstrings(m)
 
 
 def validate_by_loops(m, tol):
@@ -411,9 +529,13 @@ class TestPrepare:
         assert p.matrix.equals(example4())
         assert np.array_equal(p.missing, example4().missing_mask)
         assert np.array_equal(p.laplacian, laplacian(graph_of(example4())))
+        assert np.array_equal(p.log_entries, log_entries(example4()))
         assert np.array_equal(p.log_row_sums, log_row_sums(example4()))
-        with pytest.raises(ValueError):
-            p.laplacian[0, 0] = 5.0
+        for a in (p.missing, p.laplacian, p.log_entries, p.log_row_sums):
+            with pytest.raises(ValueError):
+                a[0, ...] = 5.0
+        w = rank_gm(p).weights
+        assert s_star(p, w) == s_star(example4(), w)
 
     def test_raises_like_require_valid(self):
         with pytest.raises(DisconnectedGraphError):
@@ -423,7 +545,7 @@ class TestPrepare:
         assert not isinstance(exc.value, DisconnectedGraphError)
 
     def test_validates_once_for_every_method(self, monkeypatch):
-        calls = record_validate_calls(monkeypatch)
+        calls = record_calls(monkeypatch, validate)
         p = prepare(example4())
         assert prepare(p) is p
         for method in (rank_gm, rank_lls, rank_harker, complete_matrix, build_system):
@@ -458,3 +580,10 @@ class TestConstruction:
             PCMatrix(np.ones((2, 2)), ("a", "b,c"))
         with pytest.raises(ValueError):
             PCMatrix(np.ones((2, 2)), ("a",))
+
+    @pytest.mark.parametrize(
+        "labels", [(" a", "b"), ("a", "b\t"), ("a\rb", "c"), ("p\x0bq", "r"), ("x\u2028y", "z"), ("\x1c", "y")]
+    )
+    def test_rejects_labels_the_text_format_would_change(self, labels):
+        with pytest.raises(ValueError, match="invalid alternative label"):
+            PCMatrix(np.ones((2, 2)), labels)
