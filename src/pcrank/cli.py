@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .gm import complete_matrix, rank_gm
-from .harker import build_harker, rank_harker
+from .harker import _solve_harker
 from .linalg import ConvergenceError
 from .lls import rank_lls
 from .matrix import (
@@ -31,11 +31,12 @@ from .matrix import (
     validate,
 )
 from .metrics import MethodReport, format_ranking, method_report
-from .priority import PriorityVector, UnrepresentableWeightsError
+from .priority import PriorityVector, UnrepresentableWeightsError, normalize
 
 __all__ = ["main", "run"]
 
-_RANKERS = {"gm": rank_gm, "lls": rank_lls, "harker": rank_harker}
+#: The ranking methods, in the order ``compare`` reports them.
+_METHODS = ("gm", "lls", "harker")
 
 #: Domain failures of one method on a valid matrix, reported without a traceback.
 _METHOD_ERRORS = (ConvergenceError, UnrepresentableWeightsError)
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", parents=[common, norm], help="compute a priority vector")
     p_rank.add_argument(
         "--method",
-        choices=("gm", "lls", "harker"),
+        choices=_METHODS,
         default="gm",
         help="ranking method (default %(default)s)",
     )
@@ -125,26 +126,26 @@ def _report_json(report: MethodReport, labels: tuple[str, ...]) -> dict:
     }
 
 
-def _diagnostics(method: str, p: Problem, vector: PriorityVector) -> dict:
+def _solve(method: str, p: Problem, normalization: str) -> tuple[PriorityVector, dict]:
+    """One method's weights and its solver diagnostics."""
+    if method == "harker":
+        v, lam, residual = _solve_harker(p)
+        return normalize(v, normalization), {"lambda_max": lam, "eigen_residual": residual}
+    vector = (rank_gm if method == "gm" else rank_lls)(p, normalization)
+    # The Laplacian residual ignores the constant log-shift that
+    # normalization introduces, so it works for both solvers as-is.
     x = np.log(vector.weights)
-    if method in ("gm", "lls"):
-        # The Laplacian residual ignores the constant log-shift that
-        # normalization introduces, so it works for both solvers as-is.
-        return {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
-    b = build_harker(p)
-    v = vector.weights / vector.weights.sum()
-    lam = float((b @ v).sum())
-    return {"lambda_max": lam, "eigen_residual": float(np.abs(b @ v - lam * v).max())}
+    return vector, {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
 
 
 def _cmd_rank(p: Problem, args) -> int:
     m = p.matrix
     try:
-        vector = _RANKERS[args.method](p, args.normalize)
+        vector, diagnostics = _solve(args.method, p, args.normalize)
     except _METHOD_ERRORS as e:
         print(f"pcrank: {args.method}: {e}", file=sys.stderr)
         return 1
-    report = method_report(args.method, p, vector, _diagnostics(args.method, p, vector))
+    report = method_report(args.method, p, vector, diagnostics)
     if args.format == "structured":
         record = {"command": "rank", "labels": list(m.labels)}
         record.update(_report_json(report, m.labels))
@@ -207,13 +208,13 @@ def _cmd_compare(p: Problem, args) -> int:
     m = p.matrix
     reports: list[MethodReport] = []
     failures: list[tuple[str, str]] = []
-    for method, ranker in _RANKERS.items():
+    for method in _METHODS:
         try:
-            vector = ranker(p, args.normalize)
+            vector, diagnostics = _solve(method, p, args.normalize)
         except _METHOD_ERRORS as e:
             failures.append((method, str(e)))
             continue
-        reports.append(method_report(method, p, vector, _diagnostics(method, p, vector)))
+        reports.append(method_report(method, p, vector, diagnostics))
 
     max_diff = 0.0
     for a in range(len(reports)):

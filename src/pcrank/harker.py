@@ -11,6 +11,20 @@ puts s_i + 1 on the diagonal (s_i = missing entries in row i).  For a
 connected comparison graph B is nonnegative and primitive, so the principal
 eigenvector is real, strictly positive, and reachable by power iteration.
 For a complete matrix B equals the matrix itself and this is plain EVM.
+
+Power iteration runs on B - mu*I with mu = min_i s_i.  The shift keeps every
+off-diagonal entry and leaves a diagonal s_i - mu + 1 >= 1, so the shifted
+matrix is still nonnegative, irreducible and primitive (and power_iteration's
+underflow test, which needs a positive diagonal, still holds).  It has the
+same Perron vector, with Perron root lam_max - mu.  The shift removes the
+large common diagonal that packs the other eigenvalues next to lam_max on
+sparse matrices: for a consistent B they are n - mu_k(L), mu_k(L) the
+Laplacian eigenvalues.  At n = 600 with 90 % of pairs missing, |lam_2/lam_1|
+falls from 0.86-0.94 to 0.34-0.55 and the steps from 159-352 to 25-42.
+Shifting by the smallest diagonal entry, mu + 1, would zero a diagonal entry
+instead; on a regular bipartite graph (an even cycle, say) the shifted matrix
+would then be periodic and power iteration would never converge.  A complete
+matrix has mu = 0 and is iterated unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +47,18 @@ def build_harker(m: PCMatrix | Problem) -> np.ndarray:
     return b
 
 
+def _solve_harker(p: Problem) -> tuple[np.ndarray, float, float]:
+    """Perron vector v of B (summing to 1), lam = sum(B @ v) and the
+    eigen-residual max|B @ v - lam * v|, from one build of B."""
+    a = build_harker(p)
+    shift = np.diag(a).min() - 1.0  # min s_i, exact: the diagonal holds integers
+    a[np.diag_indices_from(a)] -= shift
+    _, v = power_iteration(a)
+    av = a @ v
+    lam = float(av.sum())
+    return v, lam + float(shift), float(np.abs(av - lam * v).max())
+
+
 def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
     """Principal-eigenvector priority vector of Harker's completion.
 
@@ -41,5 +67,5 @@ def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> 
     presenting several methods side by side should report that per method
     rather than abort.
     """
-    _, v = power_iteration(build_harker(m))
+    v, _, _ = _solve_harker(prepare(m))
     return normalize(v, normalization)

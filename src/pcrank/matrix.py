@@ -84,6 +84,24 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(n))
 
 
+def _check_labels(labels: tuple[str, ...]) -> None:
+    """Raise ValueError unless the names are distinct and each is one that a
+    ``# labels:`` line reads back unchanged."""
+    seen: set[str] = set()
+    for name in labels:
+        if (
+            not name
+            or "," in name
+            or name.startswith("#")
+            or name != name.strip()
+            or name.splitlines() != [name]
+        ):
+            raise ValueError(f"invalid alternative label {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate alternative label {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True, eq=False)
 class PCMatrix:
     """Square grid of positive ratios with NaN marking missing comparisons.
@@ -105,16 +123,7 @@ class PCMatrix:
         labels = tuple(self.labels) if self.labels else default_labels(v.shape[0])
         if len(labels) != v.shape[0]:
             raise ValueError(f"{len(labels)} labels for {v.shape[0]} alternatives")
-        for name in labels:
-            # Exactly the names a ``# labels:`` line reads back unchanged.
-            if (
-                not name
-                or "," in name
-                or name.startswith("#")
-                or name != name.strip()
-                or name.splitlines() != [name]
-            ):
-                raise ValueError(f"invalid alternative label {name!r}")
+        _check_labels(labels)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "labels", labels)
@@ -282,8 +291,9 @@ def parse_matrix(text: str) -> PCMatrix:
     (reciprocity, connectivity, ...) are the job of :func:`validate`.
     A leading byte-order mark is ignored.
 
-    Raises ParseError for a bad token or a zero, negative, non-finite or
-    out-of-range numeral, and ShapeError for a non-square layout.
+    Raises ParseError for a bad token, a zero, negative, non-finite or
+    out-of-range numeral, or a labels comment with an empty, unreadable or
+    repeated name, and ShapeError for a non-square layout.
     """
     data: list[tuple[int, str]] = []
     labels: list[str] | None = None
@@ -298,6 +308,10 @@ def parse_matrix(text: str) -> PCMatrix:
                 labels = [f.strip() for f in m.group(1).split(",")]
                 if any(not name for name in labels):
                     raise ParseError("empty name in labels comment", lineno)
+                try:
+                    _check_labels(tuple(labels))
+                except ValueError as e:
+                    raise ParseError(str(e), lineno) from None
             continue
         data.append((lineno, raw))
 
@@ -331,17 +345,20 @@ def serialize_matrix(m: PCMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate(
+    m: PCMatrix, tol: float = DEFAULT_TOL, *, _graph: tuple[np.ndarray, np.ndarray] | None = None
+) -> ValidationReport:
     """Check diagonal, positivity, reciprocity, missingness symmetry, and
     connectivity.  Nothing is raised; every problem is reported.
 
     ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal.
     Violations are listed by kind in the order above, each kind in row-major
-    order of its positions.
+    order of its positions.  :func:`prepare` passes ``_graph``, the missing
+    mask and the adjacency it keeps, so that neither is built twice.
     """
     v = m.values
     n = m.n
-    missing = np.isnan(v)
+    missing, adj = _graph if _graph is not None else (m.missing_mask, graph_of(m))
     eye = np.eye(n, dtype=bool)
     violations: list[Violation] = []
 
@@ -368,7 +385,6 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     for i in np.flatnonzero((missing | eye).all(axis=1)).tolist():
         violations.append(Violation(ROW_ALL_MISSING, i, i, "no comparisons in this row"))
 
-    adj = graph_of(m)
     components = connected_components(adj)
     if len(components) > 1:
         parts = ", ".join("{" + ",".join(m.labels[i] for i in comp) + "}" for comp in components)
@@ -390,7 +406,10 @@ def require_valid(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     Raises DisconnectedGraphError when connectivity is the only problem,
     InvalidMatrixError otherwise; both carry the full report.
     """
-    report = validate(m, tol)
+    return _raise_if_invalid(validate(m, tol))
+
+
+def _raise_if_invalid(report: ValidationReport) -> ValidationReport:
     if report.ok:
         return report
     if report.kinds() <= _CONNECTIVITY_KINDS:
@@ -434,9 +453,10 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     """
     if isinstance(m, Problem):
         return m
-    require_valid(m, tol)
+    missing, adj = m.missing_mask, graph_of(m)
+    _raise_if_invalid(validate(m, tol, _graph=(missing, adj)))
     logs = log_entries(m)
-    arrays = (m.missing_mask, laplacian(graph_of(m)), logs, logs.sum(axis=1))
+    arrays = (missing, laplacian(adj), logs, logs.sum(axis=1))
     for a in arrays:
         a.setflags(write=False)
     return Problem(m, *arrays)

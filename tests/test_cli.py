@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcrank import parse_matrix, rank_gm, s_star, serialize_matrix, validate
+from pcrank import build_harker, graph_of, parse_matrix, rank_gm, s_star, serialize_matrix, validate
 from pcrank.cli import main
 from pcrank.matrix import log_entries
 
@@ -79,6 +79,18 @@ class TestExitCodes:
         path = write(tmp_path, "1,2\n0.5,1,3\n")
         assert main(["rank", path]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [("a,a", "duplicate alternative label 'a'"), ("a,#b", "invalid alternative label '#b'")],
+        ids=["duplicate", "comment-like"],
+    )
+    def test_bad_label_is_two(self, tmp_path, capsys, labels, message):
+        path = write(tmp_path, f"# a note\n# labels: {labels}\n1,2\n1/2,1\n")
+        assert main(["rank", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pcrank: error: line 2: {message}\n"
 
 
 class TestRank:
@@ -250,6 +262,13 @@ class TestCompare:
 
     def test_takes_logarithms_once(self, example_file, capsys, monkeypatch):
         calls = record_calls(monkeypatch, log_entries)
+        assert main(["compare", "--format", "structured", example_file]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("func", [graph_of, build_harker], ids=["graph", "harker_matrix"])
+    def test_builds_once(self, example_file, capsys, monkeypatch, func):
+        calls = record_calls(monkeypatch, func)
         assert main(["compare", "--format", "structured", example_file]) == 0
         capsys.readouterr()
         assert len(calls) == 1

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcrank import (
     DisconnectedGraphError,
+    PCMatrix,
     UnrepresentableWeightsError,
     build_harker,
     compare_rankings,
@@ -14,7 +17,14 @@ from pcrank import (
     rank_harker,
 )
 
-from helpers import CHAIN_TEXT, consistent_complete, example4, random_complete, random_incomplete
+from helpers import (
+    CHAIN_TEXT,
+    consistent_complete,
+    example4,
+    random_complete,
+    random_incomplete,
+    record_calls,
+)
 
 
 class TestBuildHarker:
@@ -91,3 +101,85 @@ def test_underflowing_eigenvector_raises_typed_error():
     # valid and connected, but the eigenvector spans 1e600: its tail underflows to 0
     with pytest.raises(UnrepresentableWeightsError):
         rank_harker(parse_matrix(CHAIN_TEXT))
+
+
+def perron_vector(a: np.ndarray) -> np.ndarray:
+    """Dense eigensolver's eigenvector of the eigenvalue of largest real part,
+    scaled to sum 1."""
+    values, vectors = np.linalg.eig(a)
+    v = np.abs(vectors[:, np.argmax(values.real)].real)
+    return v / v.sum()
+
+
+def from_edges(n: int, edges: dict[tuple[int, int], float]) -> PCMatrix:
+    values = np.full((n, n), np.nan)
+    np.fill_diagonal(values, 1.0)
+    for (i, j), c in edges.items():
+        values[i, j], values[j, i] = c, 1.0 / c
+    return PCMatrix(values)
+
+
+SAATY = [1 / 9, 1 / 7, 1 / 5, 1 / 3, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+
+
+class TestShiftedIteration:
+    """rank_harker iterates on B - mu*I, mu the smallest missing count per row."""
+
+    def test_iterates_with_smallest_diagonal_one(self, monkeypatch):
+        m = random_incomplete(9, np.random.default_rng(5), p=0.6)
+        calls = record_calls(monkeypatch, power_iteration)
+        rank_harker(m)
+        (iterated,) = calls[0]
+        b = build_harker(m)
+        assert np.diag(iterated).min() == 1.0
+        assert np.array_equal(np.diag(b) - np.diag(iterated), np.full(9, np.diag(b).min() - 1))
+        off = ~np.eye(9, dtype=bool)
+        assert np.array_equal(iterated[off], b[off])
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_even_cycle(self, n):
+        # Regular and bipartite: every row misses n - 3 pairs.  Shifting by
+        # the smallest diagonal entry would zero the diagonal and leave a
+        # periodic matrix that power iteration cannot converge on.
+        m = from_edges(n, {(k, (k + 1) % n): c for k, c in enumerate([2.0, 3.0, 5.0, 7.0, 1 / 4, 6.0][:n])})
+        assert np.array_equal(prepare(m).missing.sum(1), np.full(n, n - 3))
+        assert np.abs(rank_harker(m).weights - perron_vector(build_harker(m))).max() < 1e-9
+
+    def test_two_alternatives(self):
+        vector = rank_harker(parse_matrix("1,3\n1/3,1\n"))
+        assert np.abs(vector.weights - np.array([0.75, 0.25])).max() < 1e-12
+
+    def test_tree_recovers_the_consistent_weights(self):
+        # A tree is consistent, so B w = n w for the GM weights.
+        rng = np.random.default_rng(6)
+        n = 9
+        m = from_edges(n, {(int(rng.integers(0, k)), k): float(rng.choice(SAATY)) for k in range(1, n)})
+        weights = rank_harker(m).weights
+        assert np.abs(weights - rank_gm(m).weights).max() < 1e-9
+        assert np.abs(weights - perron_vector(build_harker(m))).max() < 1e-9
+
+    def test_complete_matrix_is_iterated_unshifted(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 11):
+            m = random_complete(n, rng)
+            assert np.array_equal(rank_harker(m, "none").weights, power_iteration(build_harker(m))[1])
+
+
+@st.composite
+def saaty_connected(draw):
+    """Reciprocal Saaty-scale matrices of 2 to 15 alternatives on a random
+    spanning tree plus random extra pairs."""
+    n = draw(st.integers(2, 15))
+    ratio = st.sampled_from(SAATY)
+    edges = {(draw(st.integers(0, k - 1)), k): draw(ratio) for k in range(1, n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in edges and draw(st.booleans()):
+                edges[i, j] = draw(ratio)
+    return from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(saaty_connected())
+def test_matches_dense_eigensolver(m):
+    assert np.abs(rank_harker(m).weights - perron_vector(build_harker(m))).max() < 1e-9

@@ -126,6 +126,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_matrix("# labels: x,,z\n1,2,3\n1/2,1,4\n1/3,1/4,1\n")
 
+    @pytest.mark.parametrize("names", ["x,y,x", "x, #y,z"])
+    def test_labels_rejected_with_their_line(self, names):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(f"\n# labels: {names}\n1,2,3\n1/2,1,4\n1/3,1/4,1\n")
+        assert exc.value.line == 2
+
     def test_comments_and_blank_lines_skipped(self):
         m = parse_matrix("# a comment\n\n1,2\n# another\n1/2,1\n\n")
         assert m.n == 2
@@ -303,7 +309,7 @@ def pc_matrices(draw, elements=POSITIVE):
     values = pool[draw(arrays(np.intp, (n, n), elements=st.integers(0, pool.size - 1)))]
     if draw(st.booleans()):
         label = st.text(min_size=1, max_size=8).filter(accepted_label)
-        return PCMatrix(values, tuple(draw(st.lists(label, min_size=n, max_size=n))))
+        return PCMatrix(values, tuple(draw(st.lists(label, min_size=n, max_size=n, unique=True))))
     return PCMatrix(values)
 
 
@@ -587,3 +593,7 @@ class TestConstruction:
     def test_rejects_labels_the_text_format_would_change(self, labels):
         with pytest.raises(ValueError, match="invalid alternative label"):
             PCMatrix(np.ones((2, 2)), labels)
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="duplicate alternative label 'b'"):
+            PCMatrix(np.ones((3, 3)), ("b", "c", "b"))
