@@ -14,10 +14,10 @@ import sys
 
 import numpy as np
 
-from .gm import complete_matrix, rank_gm
+from .gm import _solve_gm, complete_matrix
 from .harker import _solve_harker
 from .linalg import ConvergenceError
-from .lls import rank_lls
+from .lls import _solve_lls
 from .matrix import (
     DEFAULT_TOL,
     InvalidMatrixError,
@@ -31,12 +31,13 @@ from .matrix import (
     validate,
 )
 from .metrics import MethodReport, format_ranking, method_report
-from .priority import PriorityVector, UnrepresentableWeightsError, normalize
+from .priority import UnrepresentableWeightsError, normalize
 
 __all__ = ["main", "run"]
 
-#: The ranking methods, in the order ``compare`` reports them.
-_METHODS = ("gm", "lls", "harker")
+#: Each method's solve, in the order ``compare`` reports them: unnormalized
+#: weights and the solver diagnostics the CLI prints.
+_SOLVERS = {"gm": _solve_gm, "lls": _solve_lls, "harker": _solve_harker}
 
 #: Domain failures of one method on a valid matrix, reported without a traceback.
 _METHOD_ERRORS = (ConvergenceError, UnrepresentableWeightsError)
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", parents=[common, norm], help="compute a priority vector")
     p_rank.add_argument(
         "--method",
-        choices=_METHODS,
+        choices=tuple(_SOLVERS),
         default="gm",
         help="ranking method (default %(default)s)",
     )
@@ -126,22 +127,11 @@ def _report_json(report: MethodReport, labels: tuple[str, ...]) -> dict:
     }
 
 
-def _solve(method: str, p: Problem, normalization: str) -> tuple[PriorityVector, dict]:
-    """One method's weights and its solver diagnostics."""
-    if method == "harker":
-        v, lam, residual = _solve_harker(p)
-        return normalize(v, normalization), {"lambda_max": lam, "eigen_residual": residual}
-    vector = (rank_gm if method == "gm" else rank_lls)(p, normalization)
-    # The Laplacian residual ignores the constant log-shift that
-    # normalization introduces, so it works for both solvers as-is.
-    x = np.log(vector.weights)
-    return vector, {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
-
-
 def _cmd_rank(p: Problem, args) -> int:
     m = p.matrix
     try:
-        vector, diagnostics = _solve(args.method, p, args.normalize)
+        weights, diagnostics = _SOLVERS[args.method](p)
+        vector = normalize(weights, args.normalize)
     except _METHOD_ERRORS as e:
         print(f"pcrank: {args.method}: {e}", file=sys.stderr)
         return 1
@@ -208,9 +198,10 @@ def _cmd_compare(p: Problem, args) -> int:
     m = p.matrix
     reports: list[MethodReport] = []
     failures: list[tuple[str, str]] = []
-    for method in _METHODS:
+    for method, solve in _SOLVERS.items():
         try:
-            vector, diagnostics = _solve(method, p, args.normalize)
+            weights, diagnostics = solve(p)
+            vector = normalize(weights, args.normalize)
         except _METHOD_ERRORS as e:
             failures.append((method, str(e)))
             continue
@@ -248,8 +239,11 @@ def _cmd_compare(p: Problem, args) -> int:
     return 0
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         matrix = parse_matrix(_read_text(args.path))
     except (OSError, ValueError) as e:  # also UnicodeDecodeError, ParseError, ShapeError

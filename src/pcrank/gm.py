@@ -48,16 +48,25 @@ def _solve_log_weights(p: Problem) -> np.ndarray:
         ) from e
 
 
+def _from_log_weights(p: Problem, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Unnormalized weights exp(x) and the residual max|L x - b| of log-weights
+    x; L ignores a constant shift of x, so it holds for GM and LLS alike."""
+    with np.errstate(over="ignore"):  # normalize rejects the infinities
+        w = np.exp(x)
+    return w, {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
+
+
+def _solve_gm(p: Problem) -> tuple[np.ndarray, dict]:
+    return _from_log_weights(p, _solve_log_weights(p))
+
+
 def rank_gm(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
     """Geometric-mean priority vector of an incomplete PC matrix.
 
     For a complete matrix this equals the normalized row geometric means.
     Raises UnrepresentableWeightsError when the weights do not fit in a float.
     """
-    x = _solve_log_weights(prepare(m))
-    with np.errstate(over="ignore"):  # normalize rejects the infinities
-        w = np.exp(x)
-    return normalize(w, normalization)
+    return normalize(_solve_gm(prepare(m))[0], normalization)
 
 
 def complete_matrix(m: PCMatrix | Problem) -> PCMatrix:

@@ -47,16 +47,16 @@ def build_harker(m: PCMatrix | Problem) -> np.ndarray:
     return b
 
 
-def _solve_harker(p: Problem) -> tuple[np.ndarray, float, float]:
-    """Perron vector v of B (summing to 1), lam = sum(B @ v) and the
-    eigen-residual max|B @ v - lam * v|, from one build of B."""
+def _solve_harker(p: Problem) -> tuple[np.ndarray, dict]:
+    """Perron vector v of B (summing to 1), its ``lambda_max`` = sum(B @ v) and
+    ``eigen_residual`` max|B @ v - lambda_max * v|, from one build of B."""
     a = build_harker(p)
-    shift = np.diag(a).min() - 1.0  # min s_i, exact: the diagonal holds integers
+    shift = float(np.diag(a).min()) - 1.0  # min s_i, exact: the diagonal holds integers
     a[np.diag_indices_from(a)] -= shift
     _, v = power_iteration(a)
     av = a @ v
     lam = float(av.sum())
-    return v, lam + float(shift), float(np.abs(av - lam * v).max())
+    return v, {"lambda_max": lam + shift, "eigen_residual": float(np.abs(av - lam * v).max())}
 
 
 def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
@@ -67,5 +67,4 @@ def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> 
     presenting several methods side by side should report that per method
     rather than abort.
     """
-    v, _, _ = _solve_harker(prepare(m))
-    return normalize(v, normalization)
+    return normalize(_solve_harker(prepare(m))[0], normalization)

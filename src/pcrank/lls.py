@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gm import _from_log_weights
 from .linalg import solve
 from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
@@ -36,6 +37,11 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
     return np.delete(np.delete(p.laplacian, anchor, axis=0), anchor, axis=1)
 
 
+def _solve_lls(p: Problem, anchor: int = 0) -> tuple[np.ndarray, dict]:
+    x = solve(build_lls_system(p, anchor), np.delete(p.log_row_sums, anchor))
+    return _from_log_weights(p, np.insert(x, anchor, 0.0))
+
+
 def rank_lls(
     m: PCMatrix | Problem, normalization: Normalization = "sum", anchor: int = 0
 ) -> PriorityVector:
@@ -43,8 +49,4 @@ def rank_lls(
 
     Raises UnrepresentableWeightsError when the weights do not fit in a float.
     """
-    p = prepare(m)
-    x = solve(build_lls_system(p, anchor), np.delete(p.log_row_sums, anchor))
-    with np.errstate(over="ignore"):  # normalize rejects the infinities
-        w = np.exp(np.insert(x, anchor, 0.0))
-    return normalize(w, normalization)
+    return normalize(_solve_lls(prepare(m), anchor)[0], normalization)

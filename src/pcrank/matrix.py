@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "default_labels",
     "Problem",
     "prepare",
-    "log_row_sums",
 ]
 
 #: Sentinel stored for missing comparisons.
@@ -109,10 +108,14 @@ class PCMatrix:
     Immutable after construction (the value array is made read-only); safe to
     share across threads.  Construction checks shape and labels only — use
     :func:`validate` for diagonal, positivity, reciprocity, and connectivity.
+    ``missing_mask`` is the read-only bool (n, n) array, True where the
+    comparison is missing; it is computed once, here, and every reader of
+    the matrix shares it.
     """
 
     values: np.ndarray
     labels: tuple[str, ...] = ()
+    missing_mask: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=float)
@@ -124,24 +127,19 @@ class PCMatrix:
         if len(labels) != v.shape[0]:
             raise ValueError(f"{len(labels)} labels for {v.shape[0]} alternatives")
         _check_labels(labels)
-        v.setflags(write=False)
+        missing = np.isnan(v)
+        for a in (v, missing):
+            a.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "missing_mask", missing)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def missing_mask(self) -> np.ndarray:
-        """Boolean (n, n) array, True where the comparison is missing."""
-        return np.isnan(self.values)
-
-    def is_missing(self, i: int, j: int) -> bool:
-        return bool(np.isnan(self.values[i, j]))
-
     def is_complete(self) -> bool:
-        return not np.isnan(self.values).any()
+        return not self.missing_mask.any()
 
     def equals(self, other: "PCMatrix") -> bool:
         """Entrywise equality, treating missing == missing, plus equal labels."""
@@ -305,7 +303,7 @@ def parse_matrix(text: str) -> PCMatrix:
         if stripped.startswith("#"):
             m = _LABELS_RE.match(stripped)
             if m and labels is None and not data:
-                labels = [f.strip() for f in m.group(1).split(",")]
+                labels, labels_line = [f.strip() for f in m.group(1).split(",")], lineno
                 if any(not name for name in labels):
                     raise ParseError("empty name in labels comment", lineno)
                 try:
@@ -324,7 +322,8 @@ def parse_matrix(text: str) -> PCMatrix:
     if rows != width:
         raise ShapeError(f"{rows} rows but {width} columns")
     if labels is not None and len(labels) != width:
-        raise ParseError(f"labels comment names {len(labels)} alternatives, matrix has {width}")
+        names = f"labels comment names {len(labels)} alternatives"
+        raise ParseError(f"{names}, matrix has {width}", labels_line)
 
     return PCMatrix(values, tuple(labels) if labels else ())
 
@@ -346,19 +345,19 @@ def serialize_matrix(m: PCMatrix) -> str:
 
 
 def validate(
-    m: PCMatrix, tol: float = DEFAULT_TOL, *, _graph: tuple[np.ndarray, np.ndarray] | None = None
+    m: PCMatrix, tol: float = DEFAULT_TOL, *, _graph: np.ndarray | None = None
 ) -> ValidationReport:
     """Check diagonal, positivity, reciprocity, missingness symmetry, and
     connectivity.  Nothing is raised; every problem is reported.
 
     ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal.
     Violations are listed by kind in the order above, each kind in row-major
-    order of its positions.  :func:`prepare` passes ``_graph``, the missing
-    mask and the adjacency it keeps, so that neither is built twice.
+    order of its positions.  :func:`prepare` passes ``_graph``, the adjacency
+    it keeps, so that it is not built twice.
     """
     v = m.values
     n = m.n
-    missing, adj = _graph if _graph is not None else (m.missing_mask, graph_of(m))
+    missing, adj = m.missing_mask, graph_of(m) if _graph is None else _graph
     eye = np.eye(n, dtype=bool)
     violations: list[Violation] = []
 
@@ -422,8 +421,8 @@ class Problem:
     """A matrix that passed validation, with the arrays every method shares.
 
     Build it with :func:`prepare` only: holding a Problem means the matrix is
-    valid and its comparison graph connected.  ``missing`` marks the missing
-    comparisons; a valid diagonal is never missing.  ``log_entries`` holds
+    valid and its comparison graph connected.  ``missing`` is the matrix's
+    own ``missing_mask``; a valid diagonal is never missing.  ``log_entries`` holds
     ln c[i,j] where present and 0 where missing; ``log_row_sums`` are its row
     sums.  The arrays are read-only.
     """
@@ -440,11 +439,6 @@ def log_entries(m: PCMatrix) -> np.ndarray:
     return np.log(np.where(m.missing_mask, 1.0, m.values))
 
 
-def log_row_sums(m: PCMatrix) -> np.ndarray:
-    """Per-row sum of ln over the present entries (the unit diagonal adds 0)."""
-    return log_entries(m).sum(axis=1)
-
-
 def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     """Validate once and assemble what GM, LLS and Harker all need.
 
@@ -453,13 +447,13 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     """
     if isinstance(m, Problem):
         return m
-    missing, adj = m.missing_mask, graph_of(m)
-    _raise_if_invalid(validate(m, tol, _graph=(missing, adj)))
+    adj = graph_of(m)
+    _raise_if_invalid(validate(m, tol, _graph=adj))
     logs = log_entries(m)
-    arrays = (missing, laplacian(adj), logs, logs.sum(axis=1))
+    arrays = (laplacian(adj), logs, logs.sum(axis=1))
     for a in arrays:
         a.setflags(write=False)
-    return Problem(m, *arrays)
+    return Problem(m, m.missing_mask, *arrays)
 
 
 def repair_reciprocal(m: PCMatrix) -> PCMatrix:
@@ -468,6 +462,6 @@ def repair_reciprocal(m: PCMatrix) -> PCMatrix:
     Returns a new matrix; pairs that are missing on both sides stay missing.
     """
     v = m.values.copy()
-    one_sided = np.isnan(v) & ~np.isnan(v.T)
+    one_sided = m.missing_mask & ~m.missing_mask.T
     v[one_sided] = 1.0 / v.T[one_sided]
     return PCMatrix(v, m.labels)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pcrank import build_harker, graph_of, parse_matrix, rank_gm, s_star, serialize_matrix, validate
-from pcrank.cli import main
+from pcrank.cli import _build_parser, main
 from pcrank.matrix import log_entries
 
 from helpers import (
@@ -272,6 +272,26 @@ class TestCompare:
         assert main(["compare", "--format", "structured", example_file]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    def test_reuses_the_parser(self, example_file, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, _build_parser)
+        assert main(["compare", "--format", "structured", example_file]) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_finds_missing_entries_once(self, example_file, capsys, monkeypatch):
+        """np.isnan runs over the matrix once, when parse_matrix builds it."""
+        isnan, shapes = np.isnan, []
+
+        def counting(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                shapes.append(np.shape(x))
+            return isnan(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isnan", counting)
+        assert main(["compare", "--format", "structured", example_file]) == 0
+        capsys.readouterr()
+        assert shapes == [(4, 4)]
 
     def test_single_comparison(self, tmp_path, capsys):
         path = write(tmp_path, "1,4\n1/4,1\n")

@@ -63,11 +63,11 @@ class TestBuildSystem:
             n = m.n
             expected = np.zeros((n, n))
             for i in range(n):
-                s_i = sum(1 for j in range(n) if j != i and m.is_missing(i, j))
+                s_i = sum(1 for j in range(n) if j != i and m.missing_mask[i, j])
                 for j in range(n):
                     if i == j:
                         expected[i, j] = n - s_i
-                    elif m.is_missing(i, j):
+                    elif m.missing_mask[i, j]:
                         expected[i, j] = 1.0
             assert np.array_equal(build_system(m), expected)
 
