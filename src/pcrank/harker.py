@@ -9,10 +9,11 @@ the resulting nonlinear eigenproblem is equivalent to the linear one
 where B keeps the present off-diagonal entries, zeroes the missing ones, and
 puts s_i + 1 on the diagonal (s_i = missing entries in row i).  For a
 connected comparison graph B is nonnegative and primitive, so the principal
-eigenvector is real, strictly positive, and reachable by power iteration.
-For a complete matrix B equals the matrix itself and this is plain EVM.
+eigenvector is real and strictly positive.  :func:`pcrank.linalg.power_iteration`
+finds it with power steps and then Noda's iteration.  For a complete matrix B
+equals the matrix itself and this is plain EVM.
 
-Power iteration runs on B - mu*I with mu = min_i s_i.  The shift keeps every
+The iteration runs on B - mu*I with mu = min_i s_i.  The shift keeps every
 off-diagonal entry and leaves a diagonal s_i - mu + 1 >= 1, so the shifted
 matrix is still nonnegative, irreducible and primitive (and power_iteration's
 underflow test, which needs a positive diagonal, still holds).  It has the
@@ -20,11 +21,19 @@ same Perron vector, with Perron root lam_max - mu.  The shift removes the
 large common diagonal that packs the other eigenvalues next to lam_max on
 sparse matrices: for a consistent B they are n - mu_k(L), mu_k(L) the
 Laplacian eigenvalues.  At n = 600 with 90 % of pairs missing, |lam_2/lam_1|
-falls from 0.86-0.94 to 0.34-0.55 and the steps from 159-352 to 25-42.
-Shifting by the smallest diagonal entry, mu + 1, would zero a diagonal entry
-instead; on a regular bipartite graph (an even cycle, say) the shifted matrix
-would then be periodic and power iteration would never converge.  A complete
-matrix has mu = 0 and is iterated unchanged.
+falls from 0.86-0.94 to 0.34-0.55 and the power steps from 159-352 to 25-42,
+within the n // 3 = 200 that power_iteration takes before it turns to Noda
+steps, so such matrices never need a linear solve.  Shifting by the smallest
+diagonal entry, mu + 1, would zero a diagonal entry instead; on a regular
+bipartite graph (an even cycle, say) the shifted matrix would then be
+periodic and power steps would never converge.  A complete matrix has mu = 0
+and is iterated unchanged.
+
+The shift does not help when log ratios are wide (tens and more): one
+strongly inconsistent cycle then dominates B, its k largest eigenvalues share
+a modulus at angles 2 pi j / k, and power steps converge too slowly for any
+step budget.
+Noda's steps separate them and finish in a few solves.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ def _solve_harker(p: Problem) -> tuple[np.ndarray, dict]:
 def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> PriorityVector:
     """Principal-eigenvector priority vector of Harker's completion.
 
-    Raises ConvergenceError if power iteration does not converge, and
+    Raises ConvergenceError if the iteration does not converge, and
     UnrepresentableWeightsError when the eigenvector underflows; callers
     presenting several methods side by side should report that per method
     rather than abort.

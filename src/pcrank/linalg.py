@@ -1,13 +1,16 @@
-"""Small dense linear-algebra kernel: Cholesky solves and power iteration.
+"""Small dense linear-algebra kernel: Cholesky solves and the dominant
+eigenpair of a nonnegative matrix.
 
 Every linear system pcrank solves on a validated matrix is symmetric positive
 definite, so the one direct solver is Cholesky, delegated to LAPACK via
 scipy.  This module adds the contracts the solvers rely on (an explicit
 singularity guard relative to the matrix max-norm, and a residual-checked
-dominant eigenpair).
+dominant eigenpair, found by power steps and then Noda's iteration).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +28,10 @@ __all__ = [
 #: Well above double-precision noise; tripping it on validated input means
 #: something upstream is corrupt.
 PIVOT_RTOL = 1e-12
+
+#: The smallest normal double, and the spacing of the doubles below it.
+_TINY = float(np.finfo(float).tiny)
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -67,33 +74,152 @@ def power_iteration(
 ) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a nonnegative irreducible matrix.
 
-    Plain iteration from the uniform vector with l1 renormalization each
-    step; for the primitive matrices produced upstream (positive diagonal,
-    connected graph) convergence is geometric.  Returns (lam, v) with
-    max|a @ v - lam * v| <= tol * lam * max|v|, v strictly positive and
-    summing to 1.  Raises ConvergenceError after ``max_iter`` steps or when
-    ``v`` has a zero entry, except that with a positive diagonal a zero entry
-    can only be underflow, which raises UnrepresentableWeightsError.
+    Power steps from the uniform vector (l1 renormalization each step), then
+    Noda steps.  Returns (lam, v) with max|a @ v - lam * v| <= tol * lam *
+    max|v|, v strictly positive and summing to 1.  Raises ConvergenceError
+    after ``max_iter`` steps of either kind or when ``v`` has a zero entry,
+    except that with a positive diagonal a zero entry can only be underflow,
+    which raises UnrepresentableWeightsError.
+
+    A power step costs one matrix-vector product, 2n^2 flops, and converges
+    at the rate |lam_2 / lam_1|, which can sit next to 1.  A Noda step (see
+    :class:`_Noda`) converges quadratically near the solution but solves a
+    linear system, 2n^3/3 flops.  So the first max(n // 3, 1) steps are power
+    steps, about one solve's worth, and the residual test runs after every
+    step, so also before every solve.  The test is absolute, and a vector
+    whose small entries are wrong by orders of magnitude can pass it; Noda
+    steps reach such vectors on wide-range matrices, so once they have begun
+    the test must also hold entry by entry (:meth:`_Noda.settled`).  A Noda
+    step that cannot be taken in floating point gives way to a power step.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
     if (a < 0).any():
         raise ValueError("power iteration expects a nonnegative matrix")
 
-    v = np.full(a.shape[0], 1.0 / a.shape[0])
+    n = a.shape[0]
+    switch = max(n // 3, 1)
+    noda = None
+    v = np.full(n, 1.0 / n)
     av = a @ v
     residual = np.inf
-    for _ in range(max_iter):
-        lam = float(av.sum())  # l1 norm: av is nonnegative
-        if lam <= 0.0:
-            raise SingularMatrixError("iteration collapsed to the zero vector")
-        v = av / lam
-        av = a @ v  # checks this step's residual and seeds the next step
-        residual = float(np.abs(av - lam * v).max())
-        if residual <= tol * lam * float(np.abs(v).max()):
+    for step in range(max_iter):
+        if step == switch:
+            noda = _Noda(a)
+        y = noda.step(v, av) if noda else None
+        if y is None:
+            lam = float(av.sum())  # l1 norm: av is nonnegative
+            if lam <= 0.0:
+                raise SingularMatrixError("iteration collapsed to the zero vector")
+            v = av / lam
+            av = a @ v  # checks this step's residual and seeds the next step
+        else:
+            v, av = y, a @ y
+            lam = float(av.sum())
+        error = np.abs(av - lam * v)
+        residual = float(error.max())
+        if residual <= tol * lam * float(np.abs(v).max()) and (
+            noda is None or noda.settled(v, error, lam, tol)
+        ):
             if (v > 0).all():
                 return lam, v
-            if (np.diag(a) > 0).all():  # then a @ v > 0 for every v > 0: a 0 is underflow
-                raise UnrepresentableWeightsError("eigenvector is not representable in double precision")
-            raise ConvergenceError("eigenvector is not strictly positive; matrix may be reducible")
+            raise _zero_entry_error(a)
     raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
+
+
+def _zero_entry_error(a: np.ndarray) -> Exception:
+    if (np.diag(a) > 0).all():  # then a @ v > 0 for every v > 0: a 0 is underflow
+        return UnrepresentableWeightsError("eigenvector is not representable in double precision")
+    return ConvergenceError("eigenvector is not strictly positive; matrix may be reducible")
+
+
+class _Noda:
+    """Noda's iteration on one matrix (T. Noda, Numer. Math. 17, 1971;
+    quadratic convergence: L. Elsner, Linear Algebra Appl. 15, 1976).
+
+    A step from v > 0 takes sigma = max(a v / v), an upper bound on lam
+    (Collatz-Wielandt), and solves (sigma I - a) y = v.  Far from the
+    solution sigma can exceed lam by hundreds of orders of magnitude, and a
+    step then barely moves v.  So, as in a safeguarded root finder, a step
+    that has not halved log(sigma / floor), with ``floor`` the best lower
+    bound on lam so far, is followed by one that first tries the shift
+    sqrt(floor * sigma).  A positive y proves that shift exceeds lam, since
+    then a y < shift * y; a shift that fails becomes the new floor, and the
+    step falls back to sigma.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.floor = 0.0  # a lower bound on lam
+        self.width = math.inf  # log(sigma / floor) at the last step
+
+    def settled(self, v: np.ndarray, error: np.ndarray, lam: float, tol: float) -> bool:
+        """Whether error = |a v - lam v| is within tol * lam * v_i at every i.
+
+        Entries below the normal range carry only an absolute precision, the
+        subnormal spacing, so each may add that spacing times its column of a
+        (and lam its own) to the error of every entry it feeds.
+        """
+        slack = (self.a @ (v < _TINY) + lam) * (v.size * _SUBNORMAL)
+        return bool((error <= tol * lam * v + slack).all())
+
+    def step(self, v: np.ndarray, av: np.ndarray) -> np.ndarray | None:
+        """The next iterate, summing to 1, or None if it is not representable.
+
+        An entry of v below the normal range, whose few digits say nothing
+        about lam, or so far below what a v feeds it that a v / v overflows,
+        first takes the value av_i / floor >= av_i / lam.  If that is still
+        below the normal range, so is the eigenvector's entry next to the
+        others, and the step raises as :func:`power_iteration` does for a zero
+        entry.
+        """
+        a = self.a
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratios = av / v
+            fed = (v >= _TINY) & (ratios < np.inf)
+            self.floor = max(self.floor, float(np.min(ratios, where=fed, initial=np.inf)))
+            if not fed.all():
+                v = np.where(fed, v, av / self.floor)
+                if not (v >= _TINY).all():
+                    raise _zero_entry_error(a)
+                av = a @ v
+                ratios = av / v
+            sigma = float(ratios.max())
+            if not sigma < math.inf:
+                return None
+            last, self.width = self.width, _log_width(self.floor, sigma)
+            if self.width > last / 2:
+                trial = math.sqrt(self.floor) * math.sqrt(sigma)
+                if 0.0 < trial < sigma:
+                    y = _shifted_solve(a, v, trial)
+                    if y is not None:
+                        return y
+                    self.floor, self.width = trial, _log_width(trial, sigma)
+            return _shifted_solve(a, v, sigma)
+
+
+def _log_width(floor: float, sigma: float) -> float:
+    return math.log(sigma / floor) if floor > 0.0 else math.inf
+
+
+def _shifted_solve(a: np.ndarray, v: np.ndarray, shift: float) -> np.ndarray | None:
+    """y solving (shift I - a) y = v, scaled to sum 1, or None unless y > 0.
+
+    It solves in the basis scaled by v: with c = diag(v)^-1 a diag(v), it
+    solves (I - c / shift) z = 1 and takes y = v * z, so every entry of y keeps
+    its relative accuracy however widely v ranges.  It runs under the
+    caller's ``np.errstate``; ``np.linalg.solve`` raises on an exactly
+    singular matrix and warns on none.
+    """
+    n = v.size
+    m = a * v / (-shift * v)[:, None]
+    m.flat[:: n + 1] += 1.0
+    try:
+        z = np.linalg.solve(m, np.ones(n))
+    except np.linalg.LinAlgError:
+        return None
+    y = v * z
+    total = float(y.sum())
+    if not (total < math.inf and (z > 0).all()):
+        return None
+    return y / total

@@ -424,7 +424,8 @@ class Problem:
     valid and its comparison graph connected.  ``missing`` is the matrix's
     own ``missing_mask``; a valid diagonal is never missing.  ``log_entries`` holds
     ln c[i,j] where present and 0 where missing; ``log_row_sums`` are its row
-    sums.  The arrays are read-only.
+    sums.  ``present`` holds the flat indices of the present entries, diagonal
+    included.  The arrays are read-only.
     """
 
     matrix: PCMatrix
@@ -432,6 +433,7 @@ class Problem:
     laplacian: np.ndarray
     log_entries: np.ndarray
     log_row_sums: np.ndarray
+    present: np.ndarray
 
 
 def log_entries(m: PCMatrix) -> np.ndarray:
@@ -450,7 +452,7 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     adj = graph_of(m)
     _raise_if_invalid(validate(m, tol, _graph=adj))
     logs = log_entries(m)
-    arrays = (laplacian(adj), logs, logs.sum(axis=1))
+    arrays = (laplacian(adj), logs, logs.sum(axis=1), np.flatnonzero(~m.missing_mask))
     for a in arrays:
         a.setflags(write=False)
     return Problem(m, m.missing_mask, *arrays)

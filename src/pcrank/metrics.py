@@ -54,15 +54,24 @@ def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
 
     Equals s_complete on complete matrices, and equals s_complete of the
     geometric-mean completion evaluated at the same weights.  A Problem
-    lends its logarithms and missing mask instead of recomputing them.
+    lends its logarithms, missing mask and present entries instead of
+    recomputing them.  On a mostly missing matrix only the present terms are
+    evaluated; either way they are summed from an n x n grid, zero where
+    missing, so the sum runs in the same order.
     """
     if isinstance(m, Problem):
-        logs, missing = m.log_entries, m.missing
+        logs, missing, present = m.log_entries, m.missing, m.present
     else:
         logs, missing = log_entries(m), m.missing_mask
+        present = np.flatnonzero(~missing)
     x = np.log(_weights_of(w))
-    terms = (logs - (x[:, None] - x[None, :])) ** 2
-    return float(np.where(missing, 0.0, terms).sum())
+    if 2 * present.size > logs.size:  # indexing would cost more than the grid
+        terms = np.where(missing, 0.0, (logs - (x[:, None] - x[None, :])) ** 2)
+    else:
+        rows, cols = np.divmod(present, x.size)
+        terms = np.zeros(logs.shape)
+        np.put(terms, present, (logs.take(present) - (x.take(rows) - x.take(cols))) ** 2)
+    return float(terms.sum())
 
 
 def ordinal_ranking(w: PriorityVector | np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -72,17 +81,18 @@ def ordinal_ranking(w: PriorityVector | np.ndarray) -> tuple[tuple[int, ...], ..
     largest weight stays within TIE_RTOL.
     """
     arr = _weights_of(w)
-    order = sorted(range(arr.size), key=lambda i: (-arr[i], i))
+    order = np.argsort(-arr, kind="stable").tolist()
+    values = arr.tolist()
     groups: list[tuple[int, ...]] = []
     current = [order[0]]
-    head = arr[order[0]]
+    head = values[order[0]]
     for idx in order[1:]:
-        if head - arr[idx] <= TIE_RTOL * head:
+        if head - values[idx] <= TIE_RTOL * head:
             current.append(idx)
         else:
             groups.append(tuple(sorted(current)))
             current = [idx]
-            head = arr[idx]
+            head = values[idx]
     groups.append(tuple(sorted(current)))
     return tuple(groups)
 

@@ -32,12 +32,13 @@ def example4() -> PCMatrix:
 LOG9 = float(np.log(9.0))
 
 
-def random_complete(n: int, rng: np.random.Generator) -> PCMatrix:
-    """Random reciprocal complete matrix, entries log-uniform in [1/9, 9]."""
+def random_complete(n: int, rng: np.random.Generator, log_range: float = LOG9) -> PCMatrix:
+    """Random reciprocal complete matrix, log entries uniform in [-log_range,
+    log_range]: [1/9, 9] by default."""
     values = np.ones((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            c = float(np.exp(rng.uniform(-LOG9, LOG9)))
+            c = float(np.exp(rng.uniform(-log_range, log_range)))
             values[i, j] = c
             values[j, i] = 1.0 / c
     return PCMatrix(values)
@@ -53,10 +54,12 @@ def delete_random_pairs(m: PCMatrix, rng: np.random.Generator, p: float = 0.4) -
     return PCMatrix(values, m.labels)
 
 
-def random_incomplete(n: int, rng: np.random.Generator, p: float = 0.4) -> PCMatrix:
+def random_incomplete(
+    n: int, rng: np.random.Generator, p: float = 0.4, log_range: float = LOG9
+) -> PCMatrix:
     """Random connected reciprocal incomplete matrix, resampled until connected."""
     while True:
-        m = delete_random_pairs(random_complete(n, rng), rng, p)
+        m = delete_random_pairs(random_complete(n, rng, log_range), rng, p)
         if is_connected(graph_of(m)):
             return m
 

@@ -16,6 +16,7 @@ from pcrank import (
     rank_gm,
     rank_harker,
 )
+from pcrank.harker import _solve_harker
 
 from helpers import (
     CHAIN_TEXT,
@@ -95,6 +96,20 @@ class TestRankHarker:
         perturbed[1, 0] /= 4.0
         lam, _ = power_iteration(perturbed)
         assert lam > 6.0 + 1e-6
+
+
+def test_wide_log_ratios_converge():
+    # Log ratios up to +-30 let one inconsistent cycle dominate B, so its
+    # leading eigenvalues share a modulus and plain power iteration runs out
+    # of steps.  Every vector must be the Perron vector: its Collatz-Wielandt
+    # bounds min and max of (B v) / v enclose lambda_max to 1e-10.
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        m = random_incomplete(int(rng.integers(3, 11)), rng, log_range=30.0)
+        v, diagnostics = _solve_harker(prepare(m))
+        lam = diagnostics["lambda_max"]
+        ratios = build_harker(m) @ v / v
+        assert ratios.min() >= lam * (1 - 1e-10) and ratios.max() <= lam * (1 + 1e-10)
 
 
 def test_underflowing_eigenvector_raises_typed_error():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import pcrank.linalg
 from pcrank import ConvergenceError, SingularMatrixError, power_iteration, solve
 
-from helpers import consistent_complete, random_complete
+from helpers import consistent_complete, random_complete, record_calls
 
 LN2, LN3 = math.log(2.0), math.log(3.0)
 
@@ -96,6 +97,27 @@ class TestPowerIteration:
             lam, v = power_iteration(m.values)
             assert lam == pytest.approx(n, rel=1e-10)
             assert np.abs(v - v_true / v_true.sum()).max() < 1e-9
+
+    def test_noda_steps_finish_a_near_unit_subdominant_ratio(self):
+        # A weighted 3-cycle plus 1e-6 I: the eigenvalues are 1 + 1e-6 and
+        # exp(+-2 pi i / 3) + 1e-6, so |lam_2 / lam_1| = 1 - 1.5e-6 and 100 000
+        # power steps shrink the error only to about 0.86 of its start.
+        d = np.array([1.0, 2.0, 5.0])
+        a = d[:, None] * np.roll(np.eye(3), 1, axis=1) / d[None, :] + 1e-6 * np.eye(3)
+        assert np.sort(np.abs(np.linalg.eigvals(a)))[-2] / (1 + 1e-6) > 1 - 2e-6
+        lam, v = power_iteration(a, max_iter=50)
+        assert lam == pytest.approx(1 + 1e-6, rel=1e-12)
+        assert np.abs(v - d / d.sum()).max() < 1e-12
+        assert np.abs(a @ v - lam * v).max() <= 1e-12 * lam * v.max()
+
+    def test_large_matrix_converging_early_takes_no_noda_step(self, monkeypatch):
+        # power steps until n // 3, so a matrix that converges before then gets
+        # exactly the plain power iteration's vector
+        a = random_complete(90, np.random.default_rng(8)).values
+        calls = record_calls(monkeypatch, pcrank.linalg._shifted_solve)
+        lam, v = power_iteration(a)
+        assert calls == []
+        assert np.abs(a @ v - lam * v).max() <= 1e-12 * lam * v.max()
 
     def test_no_convergence_raises(self):
         with pytest.raises(ConvergenceError):

@@ -14,10 +14,12 @@ from pcrank import (
     normalize,
     ordinal_ranking,
     parse_matrix,
+    prepare,
     rank_gm,
     s_complete,
     s_star,
 )
+from pcrank.matrix import log_entries
 
 from helpers import consistent_complete, example4, random_incomplete
 
@@ -93,6 +95,18 @@ class TestSStar:
         with pytest.raises(ValueError):
             s_star(example4(), np.array([1.0, -1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("n, p", [(2, 0.0), (7, 0.4), (40, 0.9)])
+    def test_sums_the_dense_grid_bit_for_bit(self, n, p):
+        # the reference evaluates every (i, j) and zeroes the missing ones
+        rng = np.random.default_rng(n)
+        m = random_incomplete(n, rng, p)
+        w = np.exp(rng.uniform(-3, 3, size=n))
+        x = np.log(w)
+        terms = (log_entries(m) - (x[:, None] - x[None, :])) ** 2
+        expected = float(np.where(m.missing_mask, 0.0, terms).sum())
+        assert s_star(m, w) == expected
+        assert s_star(prepare(m), w) == expected
+
 
 class TestOrdinalRanking:
     def test_distinct_weights(self):
@@ -108,6 +122,25 @@ class TestOrdinalRanking:
     def test_gap_above_tolerance_splits(self):
         w = np.array([0.3, 0.3 * (1 + 1e-6), 0.4])
         assert ordinal_ranking(w) == ((2,), (1,), (0,))
+
+    def test_matches_sorted_reference(self):
+        def reference(arr):
+            order = sorted(range(arr.size), key=lambda i: (-arr[i], i))
+            groups, current, head = [], [order[0]], arr[order[0]]
+            for idx in order[1:]:
+                if head - arr[idx] <= 1e-9 * head:
+                    current.append(idx)
+                else:
+                    groups.append(tuple(sorted(current)))
+                    current, head = [idx], arr[idx]
+            groups.append(tuple(sorted(current)))
+            return tuple(groups)
+
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            base = rng.choice([0.1, 0.2, 0.3], size=int(rng.integers(1, 30)))
+            w = base * (1 + rng.choice([0.0, 5e-10, 2e-9, 1e-3], size=base.size))
+            assert ordinal_ranking(w) == reference(w)
 
     def test_format(self):
         groups = ordinal_ranking(np.array([2 / 11, 6 / 11, 2 / 11, 1 / 11]))

@@ -10,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcrank import PCMatrix, UnrepresentableWeightsError, complete_matrix, rank_gm, rank_lls
+from pcrank import (
+    PCMatrix,
+    UnrepresentableWeightsError,
+    complete_matrix,
+    prepare,
+    rank_gm,
+    rank_harker,
+    rank_lls,
+)
 from pcrank.cli import main
+from pcrank.harker import _solve_harker
 
 #: Byte pieces that reach the parser's branches: numerals, fractions,
 #: missing marks, separators, comments, a bad token and undecodable bytes.
@@ -86,7 +95,7 @@ def wide_range_matrices(draw):
 def test_methods_return_or_raise_typed_error(m, normalization):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for method in (rank_gm, rank_lls):
+        for method in (rank_gm, rank_lls, rank_harker):
             try:
                 method(m, normalization)
             except UnrepresentableWeightsError:
@@ -95,3 +104,10 @@ def test_methods_return_or_raise_typed_error(m, normalization):
             complete_matrix(m)
         except UnrepresentableWeightsError:
             pass
+        try:
+            v, diagnostics = _solve_harker(prepare(m))
+        except UnrepresentableWeightsError:
+            return
+        # power_iteration's residual bound, 1e-12 * lam * max(v) for B - mu I,
+        # with lam - mu <= lambda_max
+        assert diagnostics["eigen_residual"] <= 1e-12 * diagnostics["lambda_max"] * v.max()
