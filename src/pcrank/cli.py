@@ -120,28 +120,35 @@ def _report_json(report: MethodReport, labels: tuple[str, ...]) -> dict:
     return {
         "method": report.method,
         "normalization": report.vector.normalization,
-        "weights": [float(w) for w in report.vector.weights],
+        "weights": report.vector.weights.tolist(),
         "s_star": report.s_star,
         "ranking": [[labels[i] for i in group] for group in report.ranking],
         "diagnostics": report.diagnostics,
     }
 
 
+def _run_method(method: str, p: Problem, normalization: str) -> MethodReport | str:
+    """One method's report on the problem, or the message of its domain failure."""
+    try:
+        weights, diagnostics = _SOLVERS[method](p)
+        vector = normalize(weights, normalization)
+    except _METHOD_ERRORS as e:
+        return str(e)
+    return method_report(method, p, vector, diagnostics)
+
+
 def _cmd_rank(p: Problem, args) -> int:
     m = p.matrix
-    try:
-        weights, diagnostics = _SOLVERS[args.method](p)
-        vector = normalize(weights, args.normalize)
-    except _METHOD_ERRORS as e:
-        print(f"pcrank: {args.method}: {e}", file=sys.stderr)
+    report = _run_method(args.method, p, args.normalize)
+    if isinstance(report, str):
+        print(f"pcrank: {args.method}: {report}", file=sys.stderr)
         return 1
-    report = method_report(args.method, p, vector, diagnostics)
     if args.format == "structured":
         record = {"command": "rank", "labels": list(m.labels)}
         record.update(_report_json(report, m.labels))
         print(json.dumps(record))
     else:
-        for label, w in zip(m.labels, vector.weights):
+        for label, w in zip(m.labels, report.vector.weights):
             print(f"{label} {w:.4f}")
         print("ranking: " + format_ranking(report.ranking, m.labels))
         print(f"S*(C) = {report.s_star:.6g}")
@@ -185,7 +192,7 @@ def _cmd_complete(p: Problem, args) -> int:
                 {
                     "command": "complete",
                     "labels": list(completed.labels),
-                    "rows": [[float(x) for x in row] for row in completed.values],
+                    "rows": completed.values.tolist(),
                 }
             )
         )
@@ -196,22 +203,11 @@ def _cmd_complete(p: Problem, args) -> int:
 
 def _cmd_compare(p: Problem, args) -> int:
     m = p.matrix
-    reports: list[MethodReport] = []
-    failures: list[tuple[str, str]] = []
-    for method, solve in _SOLVERS.items():
-        try:
-            weights, diagnostics = solve(p)
-            vector = normalize(weights, args.normalize)
-        except _METHOD_ERRORS as e:
-            failures.append((method, str(e)))
-            continue
-        reports.append(method_report(method, p, vector, diagnostics))
-
-    max_diff = 0.0
-    for a in range(len(reports)):
-        for b in range(a + 1, len(reports)):
-            diff = float(np.abs(reports[a].vector.weights - reports[b].vector.weights).max())
-            max_diff = max(max_diff, diff)
+    results = {method: _run_method(method, p, args.normalize) for method in _SOLVERS}
+    reports = [r for r in results.values() if isinstance(r, MethodReport)]
+    failures = [(method, r) for method, r in results.items() if isinstance(r, str)]
+    weights = np.array([r.vector.weights for r in reports])
+    max_diff = float(np.ptp(weights, axis=0).max()) if reports else 0.0
 
     if args.format == "structured":
         record = {

@@ -4,7 +4,7 @@ comparison helpers (ordinal tie groups, per-method reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,9 @@ class IncompleteMatrixError(ValueError):
 
 
 def _weights_of(w: PriorityVector | np.ndarray) -> np.ndarray:
-    arr = w.weights if isinstance(w, PriorityVector) else np.asarray(w, dtype=float)
-    if (arr <= 0).any() or not np.isfinite(arr).all():
-        raise ValueError("weights must be positive and finite")
-    return arr
+    """The weights of ``w``: a PriorityVector's as they are, since its
+    constructor checked them, and a bare array's after the same check."""
+    return (w if isinstance(w, PriorityVector) else PriorityVector(w, "none")).weights
 
 
 def s_complete(m: PCMatrix, w: PriorityVector | np.ndarray) -> float:
@@ -54,23 +53,18 @@ def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
 
     Equals s_complete on complete matrices, and equals s_complete of the
     geometric-mean completion evaluated at the same weights.  A Problem
-    lends its logarithms, missing mask and present entries instead of
-    recomputing them.  On a mostly missing matrix only the present terms are
-    evaluated; either way they are summed from an n x n grid, zero where
-    missing, so the sum runs in the same order.
+    lends its logarithms and present entries instead of recomputing them.
+    Only the present terms are evaluated, at any density; they are summed
+    from an n x n grid, zero where missing, so the sum runs in one order.
     """
     if isinstance(m, Problem):
-        logs, missing, present = m.log_entries, m.missing, m.present
+        logs, present = m.log_entries, m.present
     else:
-        logs, missing = log_entries(m), m.missing_mask
-        present = np.flatnonzero(~missing)
+        logs, present = log_entries(m), np.flatnonzero(~m.missing_mask)
     x = np.log(_weights_of(w))
-    if 2 * present.size > logs.size:  # indexing would cost more than the grid
-        terms = np.where(missing, 0.0, (logs - (x[:, None] - x[None, :])) ** 2)
-    else:
-        rows, cols = np.divmod(present, x.size)
-        terms = np.zeros(logs.shape)
-        np.put(terms, present, (logs.take(present) - (x.take(rows) - x.take(cols))) ** 2)
+    rows, cols = np.divmod(present, x.size)
+    terms = np.zeros(logs.shape)
+    np.put(terms, present, (logs.take(present) - (x.take(rows) - x.take(cols))) ** 2)
     return float(terms.sum())
 
 
@@ -124,19 +118,16 @@ class MethodReport:
     vector: PriorityVector
     s_star: float
     ranking: tuple[tuple[int, ...], ...]
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def method_report(
-    method: str,
-    m: PCMatrix | Problem,
-    vector: PriorityVector,
-    diagnostics: dict | None = None,
+    method: str, m: PCMatrix | Problem, vector: PriorityVector, diagnostics: dict
 ) -> MethodReport:
     return MethodReport(
         method=method,
         vector=vector,
         s_star=s_star(m, vector),
-        ranking=ordinal_ranking(vector.weights),
-        diagnostics=diagnostics or {},
+        ranking=ordinal_ranking(vector),
+        diagnostics=diagnostics,
     )

@@ -6,10 +6,16 @@ with ``--tol 0``, ``--normalize`` or ``--repair-reciprocal``.  Regenerate only
 when the command line's output is meant to change:
 
     PYTHONPATH=src python tests/make_cli_golden.py
+
+With ``--diff`` it writes nothing and lists each run whose exit code, stdout
+or stderr differs from the corpus, byte for byte:
+
+    PYTHONPATH=src python tests/make_cli_golden.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -154,5 +160,26 @@ def write_golden() -> None:
         fh.write("\n")
 
 
+def diff_golden() -> list[str]:
+    """One line per corpus run whose output differs now, naming what differs."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    changed = []
+    for entry in corpus:
+        for run in entry["runs"]:
+            got = run_cli(run["argv"], entry["text"])
+            fields = [key for key in ("exit", "stdout", "stderr") if got[key] != run[key]]
+            if fields:
+                changed.append(f"{entry['name']}: {' '.join(run['argv'])} ({', '.join(fields)})")
+    return changed
+
+
 if __name__ == "__main__":
-    write_golden()
+    parser = argparse.ArgumentParser(description="Write or check the golden CLI corpus.")
+    parser.add_argument(
+        "--diff", action="store_true", help="write nothing; list the runs that differ"
+    )
+    if parser.parse_args().diff:
+        print("\n".join(diff_golden()) or "no run differs")
+    else:
+        write_golden()
