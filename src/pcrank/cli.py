@@ -31,7 +31,7 @@ from .matrix import (
     validate,
 )
 from .metrics import MethodReport, format_ranking, method_report
-from .priority import UnrepresentableWeightsError, normalize
+from .priority import PriorityVector, UnrepresentableWeightsError, normalize
 
 __all__ = ["main", "run"]
 
@@ -127,6 +127,13 @@ def _report_json(report: MethodReport, labels: tuple[str, ...]) -> dict:
     }
 
 
+def _plain_weights(vector: PriorityVector) -> list[str]:
+    """Weights as plain output prints them: four decimals when scaled, and
+    ``%.6g`` when not, so that wide-range weights keep their exponents."""
+    spec = ".6g" if vector.normalization == "none" else ".4f"
+    return [format(w, spec) for w in vector.weights.tolist()]
+
+
 def _run_method(method: str, p: Problem, normalization: str) -> MethodReport | str:
     """One method's report on the problem, or the message of its domain failure."""
     try:
@@ -148,8 +155,8 @@ def _cmd_rank(p: Problem, args) -> int:
         record.update(_report_json(report, m.labels))
         print(json.dumps(record))
     else:
-        for label, w in zip(m.labels, report.vector.weights):
-            print(f"{label} {w:.4f}")
+        for label, cell in zip(m.labels, _plain_weights(report.vector)):
+            print(f"{label} {cell}")
         print("ranking: " + format_ranking(report.ranking, m.labels))
         print(f"S*(C) = {report.s_star:.6g}")
     return 0
@@ -206,8 +213,13 @@ def _cmd_compare(p: Problem, args) -> int:
     results = {method: _run_method(method, p, args.normalize) for method in _SOLVERS}
     reports = [r for r in results.values() if isinstance(r, MethodReport)]
     failures = [(method, r) for method, r in results.items() if isinstance(r, str)]
-    weights = np.array([r.vector.weights for r in reports])
-    max_diff = float(np.ptp(weights, axis=0).max()) if reports else 0.0
+    max_diff = 0.0
+    if reports:
+        weights = np.array([r.vector.weights for r in reports])
+        if args.normalize == "none":  # each method has its own scale: compare at unit sum
+            weights /= weights.max(axis=1, keepdims=True)  # so that the sum cannot overflow
+            weights /= weights.sum(axis=1, keepdims=True)
+        max_diff = float(np.ptp(weights, axis=0).max())
 
     if args.format == "structured":
         record = {
@@ -219,13 +231,14 @@ def _cmd_compare(p: Problem, args) -> int:
         }
         print(json.dumps(record))
     else:
-        name_width = max(6, *(len(label) for label in m.labels))
-        header = "method  " + "".join(f"{label:>{name_width + 2}}" for label in m.labels)
+        rows = [(r, _plain_weights(r.vector)) for r in reports]
+        width = 2 + max(6, *map(len, m.labels), *(len(c) for _, cells in rows for c in cells))
+        header = "method  " + "".join(f"{label:>{width}}" for label in m.labels)
         print(header + f"{'S*(C)':>12}  ranking")
-        for r in reports:
-            cells = "".join(f"{w:>{name_width + 2}.4f}" for w in r.vector.weights)
+        for r, cells in rows:
+            row = "".join(f"{cell:>{width}}" for cell in cells)
             ranking = format_ranking(r.ranking, m.labels)
-            print(f"{r.method:<8}{cells}{r.s_star:>12.4g}  {ranking}")
+            print(f"{r.method:<8}{row}{r.s_star:>12.4g}  {ranking}")
         for name, msg in failures:
             print(f"{name:<8}ERROR: {msg}")
         print(f"max pairwise weight difference: {max_diff:.3g}")

@@ -79,7 +79,8 @@ def power_iteration(
     max|v|, v strictly positive and summing to 1.  Raises ConvergenceError
     after ``max_iter`` steps of either kind or when ``v`` has a zero entry,
     except that with a positive diagonal a zero entry can only be underflow,
-    which raises UnrepresentableWeightsError.
+    which raises UnrepresentableWeightsError.  Raises SingularMatrixError when
+    a power step maps ``v`` to the zero vector, as the zero matrix does.
 
     A power step costs one matrix-vector product, 2n^2 flops, and converges
     at the rate |lam_2 / lam_1|, which can sit next to 1.  A Noda step (see

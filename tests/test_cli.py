@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -23,6 +24,7 @@ from helpers import (
 )
 
 DISCONNECTED_TEXT = "1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"
+CONSISTENT_TEXT = "1,1/2,1/4\n2,1,1/2\n4,2,1\n"
 
 
 @pytest.fixture
@@ -249,7 +251,7 @@ class TestCompare:
         assert "max pairwise weight difference" in out
 
     def test_consistent_matrix_all_methods_identical(self, tmp_path, capsys):
-        path = write(tmp_path, "1,1/2,1/4\n2,1,1/2\n4,2,1\n")
+        path = write(tmp_path, CONSISTENT_TEXT)
         assert main(["compare", "--format", "structured", path]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["max_pairwise_diff"] < 1e-9
@@ -299,6 +301,33 @@ class TestCompare:
         record = json.loads(capsys.readouterr().out)
         for entry in record["methods"]:
             assert np.abs(np.array(entry["weights"]) - np.array([0.8, 0.2])).max() < 1e-9
+
+
+class TestUnscaledWeights:
+    """``--normalize none`` leaves each method's weights on its own scale."""
+
+    def test_rank_keeps_every_exponent(self, tmp_path, capsys):
+        path = write(tmp_path, CHAIN_TEXT)
+        assert main(["rank", "--normalize", "none", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["a1 1e+300", "a2 1e+100", "a3 1e-100", "a4 1e-300"]
+
+    def test_compare_differences_at_unit_sum(self, tmp_path, capsys):
+        path = write(tmp_path, CONSISTENT_TEXT)
+        assert main(["compare", "--normalize", "none", "--format", "structured", path]) == 0
+        assert json.loads(capsys.readouterr().out)["max_pairwise_diff"] < 1e-12
+        assert main(["compare", "--normalize", "none", path]) == 0
+        header, *rows, last = capsys.readouterr().out.splitlines()
+        assert float(last.removeprefix("max pairwise weight difference: ")) < 1e-12
+
+        assert header.split() == ["method", "a1", "a2", "a3", "S*(C)", "ranking"]
+        label_ends = [m.end() for m in re.finditer(r"\S+", header)][1:5]
+        assert [row.split()[0] for row in rows] == ["gm", "lls", "harker"]
+        for row in rows:
+            _, *cells, s, ranking = row.split(maxsplit=5)
+            assert all(float(c) > 0 for c in cells) and float(s) < 1e-12
+            assert ranking == "a3 > a2 > a1"
+            assert [m.end() for m in re.finditer(r"\S+", row)][1:5] == label_ends
 
 
 class TestMethodFailures:

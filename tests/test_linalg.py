@@ -44,6 +44,11 @@ class TestSolve:
         with pytest.raises(SingularMatrixError):
             solve(np.ones((2, 2)), np.array([1.0, 1.0]))
 
+    def test_tiny_pivot_is_singular(self):
+        # Positive definite, so Cholesky succeeds, but the last pivot is 1e-13.
+        with pytest.raises(SingularMatrixError, match="pivot below singularity threshold"):
+            solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.ones(2))
+
     def test_indefinite_is_singular(self):
         with pytest.raises(SingularMatrixError):
             solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
@@ -127,6 +132,10 @@ class TestPowerIteration:
         # a zero component that is not underflow: the matrix is reducible
         with pytest.raises(ConvergenceError, match="reducible"):
             power_iteration(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    def test_zero_matrix_collapses(self):
+        with pytest.raises(SingularMatrixError, match="zero vector"):
+            power_iteration(np.zeros((3, 3)))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
