@@ -329,6 +329,14 @@ class TestUnscaledWeights:
             assert ranking == "a3 > a2 > a1"
             assert [m.end() for m in re.finditer(r"\S+", row)][1:5] == label_ends
 
+    def test_compare_weights_whose_sum_overflows(self, tmp_path, capsys):
+        # LLS is anchored at a1 = 1, so its weights are 1, 1e308, 1e308.
+        path = write(tmp_path, "1,1e-308,1e-308\n1e308,1,1\n1e308,1,1\n")
+        assert main(["compare", "--normalize", "none", "--format", "structured", path]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [r["method"] for r in record["methods"]] == ["gm", "lls"]
+        assert record["max_pairwise_diff"] < 1e-12
+
 
 class TestMethodFailures:
     """A valid matrix whose weights do not fit in a float: every method fails
