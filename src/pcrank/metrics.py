@@ -54,8 +54,9 @@ def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
     Equals s_complete on complete matrices, and equals s_complete of the
     geometric-mean completion evaluated at the same weights.  A Problem
     lends its logarithms and present entries instead of recomputing them.
-    Only the present terms are evaluated, at any density; they are summed
-    from an n x n grid, zero where missing, so the sum runs in one order.
+    Only the present terms are evaluated, at every density, but they are
+    summed from an n x n grid, zero where missing, so the sum runs in the
+    order of a sum over the whole grid.
     """
     if isinstance(m, Problem):
         logs, present = m.log_entries, m.present
