@@ -34,7 +34,11 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
     p = prepare(m)
     if not 0 <= anchor < p.matrix.n:
         raise IndexError(f"anchor {anchor} out of range for n={p.matrix.n}")
-    return np.delete(np.delete(p.laplacian, anchor, axis=0), anchor, axis=1)
+    a, lap = anchor, p.laplacian
+    system = np.empty((p.matrix.n - 1,) * 2)
+    system[:a, :a], system[:a, a:] = lap[:a, :a], lap[:a, a + 1 :]
+    system[a:, :a], system[a:, a:] = lap[a + 1 :, :a], lap[a + 1 :, a + 1 :]
+    return system
 
 
 def _solve_lls(p: Problem, anchor: int = 0) -> tuple[np.ndarray, dict]:

@@ -239,8 +239,8 @@ def _read_tokens(data: list[tuple[int, str]]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-#: Bytes of data rows the bulk reader takes: ``?``, decimals, separators.
-_BULK_BYTES = b"0123456789.eE+-?,\n"
+#: Bytes of data rows the bulk reader takes: ``?``, decimals, commas.
+_BULK_BYTES = b"0123456789.eE+-?,"
 
 
 def _read_bulk(lines: list[str]) -> np.ndarray | None:
@@ -248,37 +248,29 @@ def _read_bulk(lines: list[str]) -> np.ndarray | None:
     decimal, every value is finite and positive, and the rows have equal
     width; None otherwise, for :func:`_read_tokens` to read or reject.
 
-    Over the bytes ``[0-9.eE+-]``, float() accepts exactly the language of
-    _DECIMAL_RE, so the values equal those _parse_token returns.
+    Only the present fields reach float(), which over the bytes ``[0-9.eE+-]``
+    accepts exactly the language of _DECIMAL_RE, as _parse_token reads it.
     """
-    text = "\n".join(lines)
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    if raw.translate(None, _BULK_BYTES):
-        return None
-    padded = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
-    is_sep = (padded == ord(",")) | (padded == ord("\n"))
-    marks = np.flatnonzero(padded == ord("?"))
-    if not (is_sep[marks - 1].all() and is_sep[marks + 1].all()):
-        return None  # a ``?`` inside a field
-    sep_at = np.flatnonzero(is_sep)  # the first and last are the padding
-    # Rows are of equal width when "\n" closes every width-th field.
-    if (sep_at.size - 1) % len(lines) or not (
-        padded[sep_at[1:]].reshape(len(lines), -1)[:, -1] == ord("\n")
-    ).all():
+    # A comma before and after each field; non-ASCII text becomes escapes.
+    raw = ",".join(["", *lines, ""]).encode("ascii", "backslashreplace")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    sep, mark = buf == ord(","), buf == ord("?")
+    if raw.translate(None, _BULK_BYTES) or (mark[1:-1] & ~(sep[:-2] & sep[2:])).any():
+        return None  # a byte outside _BULK_BYTES, or a ``?`` inside a field
+    kept = buf[1:][~(mark[1:] | mark[:-1])].tobytes()  # less each ``?`` and its comma
+    sep_at = np.flatnonzero(sep)
+    width = (sep_at.size - 1) // len(lines)  # equal widths: each width-th comma ends a row
+    if not np.array_equal(sep_at[width::width], np.cumsum([len(line) + 1 for line in lines])):
         return None  # ragged rows
-    missing = padded[sep_at[:-1] + 1] == ord("?")
-    # Each "?," is now a whole missing field: drop them, split the rest.
-    present = (raw.replace(b"\n", b",") + b",").replace(b"?,", b"").split(b",")[:-1]
+    missing = mark[1:][sep_at[:-1]]  # each field's first byte
     try:
-        parsed = np.fromiter(map(float, present), dtype=float, count=len(present))
+        parsed = np.fromiter(map(float, kept.split(b",")[:-1]), dtype=float)
     except ValueError:  # an empty field or a token outside _DECIMAL_RE
         return None
     if not ((parsed > 0) & (parsed < math.inf)).all():
         return None
     values = np.full(missing.size, MISSING)
-    values[~missing] = parsed
+    values[np.flatnonzero(~missing)] = parsed
     return values.reshape(len(lines), -1)
 
 
@@ -345,20 +337,19 @@ def serialize_matrix(m: PCMatrix) -> str:
 
 
 def validate(
-    m: PCMatrix, tol: float = DEFAULT_TOL, *, _graph: np.ndarray | None = None
+    m: PCMatrix, tol: float = DEFAULT_TOL, *, _graph: np.ndarray | None = None, _present=None
 ) -> ValidationReport:
     """Check diagonal, positivity, reciprocity, missingness symmetry, and
     connectivity.  Nothing is raised; every problem is reported.
 
     ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal.
     Violations are listed by kind in the order above, each kind in row-major
-    order of its positions.  :func:`prepare` passes ``_graph``, the adjacency
-    it keeps, so that it is not built twice.
-    """
-    v = m.values
-    n = m.n
-    missing, adj = m.missing_mask, graph_of(m) if _graph is None else _graph
-    eye = np.eye(n, dtype=bool)
+    order of its positions (a pair's upper one).  Past the diagonal and the
+    graph, only present entries and their mirrors are read.  :func:`prepare`
+    passes the adjacency and the present rows and columns it has found."""
+    v, n = m.values, m.n
+    adj = graph_of(m) if _graph is None else _graph
+    rows, cols = np.divmod(np.flatnonzero(~m.missing_mask), n) if _present is None else _present
     violations: list[Violation] = []
 
     diag = np.diag(v)
@@ -366,37 +357,35 @@ def validate(
         shown = "?" if math.isnan(diag[i]) else f"{diag[i]:g}"
         violations.append(Violation(DIAGONAL_NOT_ONE, i, i, f"expected 1, got {shown}"))
 
-    non_positive = ~eye & ~missing & (~np.isfinite(v) | (v <= 0))
-    for i, j in np.argwhere(non_positive).tolist():
-        violations.append(Violation(NON_POSITIVE, i, j, f"got {v[i, j]:g}"))
+    rows, cols = rows[rows != cols], cols[rows != cols]
+    given, mirror = v[rows, cols], v[cols, rows]
+    bad = ~np.isfinite(given) | (given <= 0)
+    for i, j, x in zip(rows[bad].tolist(), cols[bad].tolist(), given[bad].tolist()):
+        violations.append(Violation(NON_POSITIVE, i, j, f"got {x:g}"))
 
-    asymmetric = missing != missing.T
+    # Each pair once: at its one present entry, or at its entry above the diagonal.
+    one_sided = np.isnan(mirror)
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, 1e200 * 1e200
-        non_reciprocal = ~missing & ~missing.T & ~(np.abs(v * v.T - 1.0) <= tol)
-    for i, j in np.argwhere(np.triu(asymmetric | non_reciprocal, k=1)).tolist():
-        if asymmetric[i, j]:
-            given, absent = (i, j) if missing[j, i] else (j, i)
-            detail = f"c[{given + 1},{absent + 1}] given but c[{absent + 1},{given + 1}] missing"
-            violations.append(Violation(ASYMMETRIC_MISSINGNESS, i, j, detail))
+        flagged = np.flatnonzero(one_sided | (rows < cols) & ~(np.abs(given * mirror - 1.0) <= tol))
+    r, c = rows[flagged], cols[flagged]
+    flagged = flagged[np.argsort(np.minimum(r, c) * n + np.maximum(r, c))]
+    for i, j, k in zip(rows[flagged].tolist(), cols[flagged].tolist(), flagged.tolist()):
+        if one_sided[k]:
+            detail = f"c[{i + 1},{j + 1}] given but c[{j + 1},{i + 1}] missing"
+            violations.append(Violation(ASYMMETRIC_MISSINGNESS, min(i, j), max(i, j), detail))
         else:
-            violations.append(Violation(NON_RECIPROCAL, i, j, f"{v[i, j]:g} * {v[j, i]:g} != 1"))
+            violations.append(Violation(NON_RECIPROCAL, i, j, f"{given[k]:g} * {mirror[k]:g} != 1"))
 
-    for i in np.flatnonzero((missing | eye).all(axis=1)).tolist():
+    for i in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist():
         violations.append(Violation(ROW_ALL_MISSING, i, i, "no comparisons in this row"))
 
     components = connected_components(adj)
     if len(components) > 1:
         parts = ", ".join("{" + ",".join(m.labels[i] for i in comp) + "}" for comp in components)
-        violations.append(
-            Violation(DISCONNECTED, None, None, f"disconnected comparison graph: components {parts}")
-        )
+        detail = f"disconnected comparison graph: components {parts}"
+        violations.append(Violation(DISCONNECTED, None, None, detail))
 
-    return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
-        present_pairs=int(adj.sum()) // 2,
-        total_pairs=n * (n - 1) // 2,
-    )
+    return ValidationReport(not violations, tuple(violations), int(adj.sum()) // 2, math.comb(n, 2))
 
 
 def require_valid(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -436,9 +425,13 @@ class Problem:
     present: np.ndarray
 
 
-def log_entries(m: PCMatrix) -> np.ndarray:
-    """ln c[i,j] where the comparison is present, 0 where it is missing."""
-    return np.log(np.where(m.missing_mask, 1.0, m.values))
+def log_entries(m: PCMatrix, *, _present: np.ndarray | None = None) -> np.ndarray:
+    """ln c[i,j] where present, 0 where missing; only the present entries,
+    whose flat indices :func:`prepare` passes as ``_present``, are logged."""
+    present = np.flatnonzero(~m.missing_mask) if _present is None else _present
+    logs = np.zeros(m.values.shape)
+    np.put(logs, present, np.log(m.values.take(present)))
+    return logs
 
 
 def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
@@ -450,9 +443,11 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     if isinstance(m, Problem):
         return m
     adj = graph_of(m)
-    _raise_if_invalid(validate(m, tol, _graph=adj))
-    logs = log_entries(m)
-    arrays = (laplacian(adj), logs, logs.sum(axis=1), np.flatnonzero(~m.missing_mask))
+    present = np.flatnonzero(~m.missing_mask)
+    rows, cols = np.divmod(present, m.n)
+    _raise_if_invalid(validate(m, tol, _graph=adj, _present=(rows, cols)))
+    logs = log_entries(m, _present=present)
+    arrays = (laplacian(adj), logs, logs.sum(axis=1), present)
     for a in arrays:
         a.setflags(write=False)
     return Problem(m, m.missing_mask, *arrays)

@@ -72,6 +72,17 @@ class TestLlsSystem:
         assert np.array_equal(build_lls_system(example4()), lap[1:, 1:])
         assert np.array_equal(build_lls_system(example4(), 2), lap[np.ix_([0, 1, 3], [0, 1, 3])])
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 45])
+    def test_every_anchor_removes_its_row_and_column(self, n):
+        p = prepare(random_incomplete(n, np.random.default_rng(n)))
+        for k in range(n):
+            system = build_lls_system(p, k)
+            assert np.array_equal(system, np.delete(np.delete(p.laplacian, k, 0), k, 1))
+            assert system.flags.writeable and not np.shares_memory(system, p.laplacian)
+        for k in (-1, n):
+            with pytest.raises(IndexError):
+                build_lls_system(p, k)
+
     def test_rhs_from_present_entries_only(self):
         rhs = prepare(example4()).log_row_sums
         ln = np.log

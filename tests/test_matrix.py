@@ -50,6 +50,7 @@ from helpers import (
     delete_random_pairs,
     example4,
     random_complete,
+    random_incomplete,
     record_calls,
 )
 
@@ -285,6 +286,40 @@ def test_bulk_text_makes_no_token_calls(monkeypatch):
     assert len(calls) == 4
 
 
+#: Texts at the edges of the bulk reader's language: each is read without a
+#: token call, by the bulk reader alone.
+BULK_EDGE_TEXTS = [
+    "?,?\n?,?\n",  # no field present
+    "1,?,?\n?,1,?\n?,?,1\n",  # nothing but the diagonal
+    "1,2,?\n0.5,1,?\n?,?,1\n",  # rows that end in ",?"
+    "?,2,?\r\n0.5,?,?\r\n?,?,?\r\n",  # rows that start with "?,"
+]
+#: A ``?`` glued to a digit at the start or the end of a row: the bulk
+#: reader must decline it, and the token reader reports it.
+GLUED_MARK_TEXTS = [
+    "1,2?\n?3,1\n",
+    "1,2?\r\n?3,1\r\n",
+    "1,2?\n0.5,1\n",
+    "1,2\n?3,1\n",
+    "1,2\r\n?3,1\r\n",
+    "1,?35\n2,1\n",
+    "1,2\n?35,1\n",
+]
+
+
+@pytest.mark.parametrize("text", BULK_EDGE_TEXTS + GLUED_MARK_TEXTS)
+def test_bulk_edges_match_token_reference(text, monkeypatch):
+    calls = record_calls(monkeypatch, _parse_token)
+    got = parse_outcome(parse_matrix, text)
+    bulk_calls = len(calls)
+    want = parse_outcome(parse_by_tokens, text)
+    if isinstance(want, PCMatrix):
+        assert isinstance(got, PCMatrix) and got.equals(want)
+    else:
+        assert got == want
+    assert (bulk_calls == 0) == (text in BULK_EDGE_TEXTS)
+
+
 def serialize_by_fstrings(m):
     """Number-by-number reference for :func:`serialize_matrix`."""
     lines = [] if m.labels == default_labels(m.n) else ["# labels: " + ",".join(m.labels)]
@@ -398,6 +433,32 @@ def test_validate_matches_loop_reference(data):
     assert [v.describe() for v in report.violations] == expected
     assert report.present_pairs == present
     assert report.ok == (not expected)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_validate_matches_loop_reference_on_sparse_matrices(data):
+    """Up to 12 alternatives, most pairs missing on both sides, and one-sided
+    gaps above and below the diagonal."""
+    n = data.draw(st.integers(2, 12))
+    values = np.full((n, n), math.nan)
+    for i in range(n):
+        values[i, i] = data.draw(st.sampled_from([1.0] * 8 + SPECIAL))
+        for j in range(i + 1, n):
+            kind = data.draw(st.sampled_from(["none"] * 6 + ["both", "upper", "lower", "odd"]))
+            x = data.draw(st.floats(1e-3, 1e3))
+            if kind in ("both", "upper"):
+                values[i, j] = x
+            if kind in ("both", "lower"):
+                values[j, i] = 1.0 / x
+            if kind == "odd":
+                values[i, j], values[j, i] = data.draw(st.sampled_from(SPECIAL)), x
+    m = PCMatrix(values)
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    expected, present = validate_by_loops(m, tol)
+    report = validate(m, tol)
+    assert [v.describe() for v in report.violations] == expected
+    assert report.present_pairs == present
 
 
 def repair_by_loops(m):
@@ -544,11 +605,23 @@ class TestPrepare:
         assert np.array_equal(p.laplacian, laplacian(graph_of(example4())))
         assert np.array_equal(p.log_entries, log_entries(example4()))
         assert np.array_equal(p.log_row_sums, p.log_entries.sum(1))
-        for a in (p.missing, p.laplacian, p.log_entries, p.log_row_sums):
+        assert np.array_equal(p.present, np.flatnonzero(~example4().missing_mask))
+        for a in (p.missing, p.laplacian, p.log_entries, p.log_row_sums, p.present):
             with pytest.raises(ValueError):
                 a[0, ...] = 5.0
         w = rank_gm(p).weights
         assert s_star(p, w) == s_star(example4(), w)
+
+    @pytest.mark.parametrize("n, log_range", [(2, 1.0), (9, 2.2), (33, 40.0), (64, 700.0)])
+    def test_log_entries_bit_for_bit(self, n, log_range):
+        """Logs of the present entries, scattered into zeros, are the bits of
+        the logs of the grid with 1 where missing."""
+        rng = np.random.default_rng(n)
+        for p in (0.0, 0.5, 0.9):
+            m = random_incomplete(n, rng, p, log_range)
+            expected = np.log(np.where(m.missing_mask, 1.0, m.values)).tobytes()
+            assert prepare(m).log_entries.tobytes() == expected
+            assert log_entries(m).tobytes() == expected
 
     def test_shares_the_matrix_mask(self):
         m = example4()
