@@ -12,9 +12,10 @@ x_i = ln w_i and S_i the number of missing entries in row i,
 
 The left-hand matrix equals L + J, the graph Laplacian of the comparison
 graph plus the all-ones matrix, which is symmetric positive definite whenever
-the graph is connected — so the system has exactly one solution and a
-Cholesky solve applies.  Exponentiating x recovers the weights; for a
-complete matrix this reduces to plain row geometric means.
+the graph is connected — so the system has exactly one solution, found
+from one Cholesky factor and two triangular solves.  Exponentiating x
+recovers the weights; for a complete matrix this reduces to plain row
+geometric means.
 """
 
 from __future__ import annotations

@@ -26,8 +26,10 @@ def graph_of(m: PCMatrix) -> np.ndarray:
 
 def laplacian(adj: np.ndarray) -> np.ndarray:
     """Degree matrix minus adjacency matrix; symmetric, rows sum to zero."""
-    a = adj.astype(float)
-    return np.diag(a.sum(axis=1)) - a
+    n = adj.shape[0]
+    lap = np.subtract(0.0, adj, dtype=float)  # 0 - 0 keeps every zero +0.0
+    lap.flat[:: n + 1] = np.count_nonzero(adj, axis=1)
+    return lap
 
 
 def connected_components(adj: np.ndarray) -> list[list[int]]:

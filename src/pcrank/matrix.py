@@ -123,10 +123,13 @@ class PCMatrix:
             raise ShapeError(f"expected a square matrix, got shape {v.shape}")
         if v.shape[0] < 2:
             raise ShapeError("a ranking needs at least 2 alternatives")
-        labels = tuple(self.labels) if self.labels else default_labels(v.shape[0])
-        if len(labels) != v.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {v.shape[0]} alternatives")
-        _check_labels(labels)
+        if self.labels:
+            labels = tuple(self.labels)
+            if len(labels) != v.shape[0]:
+                raise ValueError(f"{len(labels)} labels for {v.shape[0]} alternatives")
+            _check_labels(labels)
+        else:
+            labels = default_labels(v.shape[0])
         missing = np.isnan(v)
         for a in (v, missing):
             a.setflags(write=False)

@@ -405,3 +405,22 @@ def test_console_script_installed(example_file):
     )
     assert result.returncode == 0, result.stderr
     assert "a2 0.5455" in result.stdout
+
+
+def test_runs_without_scipy(example_file):
+    # The only linear algebra is numpy's: a fresh process that imports the
+    # command line and runs every method loads no scipy module.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import pcrank.cli\n"
+        f"code = pcrank.cli.main(['compare', {example_file!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=False, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"

@@ -59,6 +59,37 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(np.ones((2, 3)), np.ones(2))
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pcrank.linalg._BLOCK - 1,
+            pcrank.linalg._BLOCK,
+            pcrank.linalg._BLOCK + 1,
+            2 * pcrank.linalg._BLOCK + 1,
+            600,
+        ],
+    )
+    def test_block_edges_match_lu(self, n):
+        rng = np.random.default_rng(n)
+        r = rng.normal(size=(n, n))
+        a = r @ r.T + n * np.eye(n)
+        rhs = rng.normal(size=n)
+        x = solve(a, rhs)
+        reference = np.linalg.solve(a, rhs)
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.abs(a @ x - rhs).max() <= 1e-12 * np.abs(a).max() * np.abs(x).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_non_finite_input_raises(self, bad, where):
+        a, rhs = EX4_MATRIX.copy(), EX4_RHS.copy()
+        if where == "matrix":
+            a[1, 2] = bad
+        else:
+            rhs[3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(a, rhs)
+
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(3)
         for _ in range(40):

@@ -32,6 +32,7 @@ from pcrank import (
 )
 from pcrank.matrix import (
     _LABELS_RE,
+    _check_labels,
     _parse_token,
     ASYMMETRIC_MISSINGNESS,
     DIAGONAL_NOT_ONE,
@@ -683,3 +684,10 @@ class TestConstruction:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate alternative label 'b'"):
             PCMatrix(np.ones((3, 3)), ("b", "c", "b"))
+
+    def test_checks_given_labels_only(self, monkeypatch):
+        calls = record_calls(monkeypatch, _check_labels)
+        assert PCMatrix(np.ones((3, 3))).labels == default_labels(3)
+        assert calls == []
+        PCMatrix(np.ones((3, 3)), ["x", "y", "z"])
+        assert calls == [(("x", "y", "z"),)]
