@@ -44,7 +44,7 @@ def _solve_log_weights(p: Problem) -> np.ndarray:
     except SingularMatrixError as e:  # impossible for connected graphs
         raise RuntimeError(
             f"singular geometric-mean system for a validated matrix (n={p.matrix.n}, "
-            f"missing per row {p.missing.sum(axis=1).tolist()}); "
+            f"missing per row {p.matrix.missing_mask.sum(axis=1).tolist()}); "
             "this indicates corrupted input or an internal bug"
         ) from e
 
@@ -82,7 +82,7 @@ def complete_matrix(m: PCMatrix | Problem) -> PCMatrix:
     x = _solve_log_weights(p)
     with np.errstate(over="ignore"):
         ratios = np.exp(x[:, None] - x[None, :])
-    values = np.where(p.missing, ratios, p.matrix.values)
+    values = np.where(p.matrix.missing_mask, ratios, p.matrix.values)
     if not (np.isfinite(values).all() and (values > 0).all()):
         raise UnrepresentableWeightsError("fitted ratios are not representable in double precision")
     return PCMatrix(values, p.matrix.labels)

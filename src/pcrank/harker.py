@@ -50,9 +50,9 @@ __all__ = ["build_harker", "rank_harker"]
 def build_harker(m: PCMatrix | Problem) -> np.ndarray:
     """The eigenproblem matrix B: present entries, 0 where missing, s_i + 1
     on the diagonal."""
-    p = prepare(m)
-    b = np.where(p.missing, 0.0, p.matrix.values)
-    np.fill_diagonal(b, p.missing.sum(axis=1) + 1)
+    m = prepare(m).matrix
+    b = np.where(m.missing_mask, 0.0, m.values)
+    np.fill_diagonal(b, m.missing_mask.sum(axis=1) + 1)
     return b
 
 

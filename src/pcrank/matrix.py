@@ -352,7 +352,7 @@ def validate(
     passes the adjacency and the present rows and columns it has found."""
     v, n = m.values, m.n
     adj = graph_of(m) if _graph is None else _graph
-    rows, cols = np.divmod(np.flatnonzero(~m.missing_mask), n) if _present is None else _present
+    rows, cols = _edges(m.missing_mask)[1:] if _present is None else _present
     violations: list[Violation] = []
 
     diag = np.diag(v)
@@ -360,7 +360,8 @@ def validate(
         shown = "?" if math.isnan(diag[i]) else f"{diag[i]:g}"
         violations.append(Violation(DIAGONAL_NOT_ONE, i, i, f"expected 1, got {shown}"))
 
-    rows, cols = rows[rows != cols], cols[rows != cols]
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
     given, mirror = v[rows, cols], v[cols, rows]
     bad = ~np.isfinite(given) | (given <= 0)
     for i, j, x in zip(rows[bad].tolist(), cols[bad].tolist(), given[bad].tolist()):
@@ -369,7 +370,10 @@ def validate(
     # Each pair once: at its one present entry, or at its entry above the diagonal.
     one_sided = np.isnan(mirror)
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, 1e200 * 1e200
-        flagged = np.flatnonzero(one_sided | (rows < cols) & ~(np.abs(given * mirror - 1.0) <= tol))
+        error = np.multiply(given, mirror)  # |c_ij * c_ji - 1|, in one buffer
+        error -= 1.0
+        np.abs(error, out=error)
+        flagged = np.flatnonzero(one_sided | (rows < cols) & ~(error <= tol))
     r, c = rows[flagged], cols[flagged]
     flagged = flagged[np.argsort(np.minimum(r, c) * n + np.maximum(r, c))]
     for i, j, k in zip(rows[flagged].tolist(), cols[flagged].tolist(), flagged.tolist()):
@@ -408,33 +412,31 @@ def _raise_if_invalid(report: ValidationReport) -> ValidationReport:
     raise InvalidMatrixError(report)
 
 
+def _edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices, rows and columns of the entries where ``mask`` is False,
+    in row-major order: the present comparisons of a missing mask, diagonal
+    included."""
+    flat = np.flatnonzero(~mask)
+    return (flat, *np.divmod(flat, mask.shape[0]))
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A matrix that passed validation, with the arrays every method shares.
 
     Build it with :func:`prepare` only: holding a Problem means the matrix is
-    valid and its comparison graph connected.  ``missing`` is the matrix's
-    own ``missing_mask``; a valid diagonal is never missing.  ``log_entries`` holds
-    ln c[i,j] where present and 0 where missing; ``log_row_sums`` are its row
-    sums.  ``present`` holds the flat indices of the present entries, diagonal
-    included.  The arrays are read-only.
+    valid and its comparison graph connected.  The present comparisons are
+    one edge list in row-major order, diagonal included: entry k is
+    c[rows[k], cols[k]], and ``logs[k]`` is its logarithm.  ``log_row_sums``
+    sums ``logs`` by row.  The arrays are read-only.
     """
 
     matrix: PCMatrix
-    missing: np.ndarray
     laplacian: np.ndarray
-    log_entries: np.ndarray
     log_row_sums: np.ndarray
-    present: np.ndarray
-
-
-def log_entries(m: PCMatrix, *, _present: np.ndarray | None = None) -> np.ndarray:
-    """ln c[i,j] where present, 0 where missing; only the present entries,
-    whose flat indices :func:`prepare` passes as ``_present``, are logged."""
-    present = np.flatnonzero(~m.missing_mask) if _present is None else _present
-    logs = np.zeros(m.values.shape)
-    np.put(logs, present, np.log(m.values.take(present)))
-    return logs
+    rows: np.ndarray
+    cols: np.ndarray
+    logs: np.ndarray
 
 
 def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
@@ -446,14 +448,13 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     if isinstance(m, Problem):
         return m
     adj = graph_of(m)
-    present = np.flatnonzero(~m.missing_mask)
-    rows, cols = np.divmod(present, m.n)
+    flat, rows, cols = _edges(m.missing_mask)
     _raise_if_invalid(validate(m, tol, _graph=adj, _present=(rows, cols)))
-    logs = log_entries(m, _present=present)
-    arrays = (laplacian(adj), logs, logs.sum(axis=1), present)
+    logs = np.log(m.values.take(flat))
+    arrays = (laplacian(adj), np.bincount(rows, logs, m.n), rows, cols, logs)
     for a in arrays:
         a.setflags(write=False)
-    return Problem(m, m.missing_mask, *arrays)
+    return Problem(m, *arrays)
 
 
 def repair_reciprocal(m: PCMatrix) -> PCMatrix:

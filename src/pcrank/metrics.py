@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import PCMatrix, Problem, log_entries
+from .matrix import PCMatrix, Problem, _edges
 from .priority import PriorityVector
 
 __all__ = [
@@ -53,20 +53,16 @@ def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
 
     Equals s_complete on complete matrices, and equals s_complete of the
     geometric-mean completion evaluated at the same weights.  A Problem
-    lends its logarithms and present entries instead of recomputing them.
-    Only the present terms are evaluated, at every density, but they are
-    summed from an n x n grid, zero where missing, so the sum runs in the
-    order of a sum over the whole grid.
+    lends its edge list of present entries and their logarithms instead of
+    recomputing them; only the present terms are evaluated and summed.
     """
     if isinstance(m, Problem):
-        logs, present = m.log_entries, m.present
+        rows, cols, logs = m.rows, m.cols, m.logs
     else:
-        logs, present = log_entries(m), np.flatnonzero(~m.missing_mask)
+        flat, rows, cols = _edges(m.missing_mask)
+        logs = np.log(m.values.take(flat))
     x = np.log(_weights_of(w))
-    rows, cols = np.divmod(present, x.size)
-    terms = np.zeros(logs.shape)
-    np.put(terms, present, (logs.take(present) - (x.take(rows) - x.take(cols))) ** 2)
-    return float(terms.sum())
+    return float(((logs - (x[rows] - x[cols])) ** 2).sum())
 
 
 def ordinal_ranking(w: PriorityVector | np.ndarray) -> tuple[tuple[int, ...], ...]:

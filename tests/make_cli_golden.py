@@ -8,7 +8,9 @@ when the command line's output is meant to change:
     PYTHONPATH=src python tests/make_cli_golden.py
 
 With ``--diff`` it writes nothing and lists each run whose exit code, stdout
-or stderr differs from the corpus, byte for byte:
+or stderr differs from the corpus, byte for byte, with the largest absolute
+and relative change among the run's numbers, or a note that more than its
+numbers changed:
 
     PYTHONPATH=src python tests/make_cli_golden.py --diff
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +163,66 @@ def write_golden() -> None:
         fh.write("\n")
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_SEPARATORS = re.compile(r"([,\s]+)")
+
+
+def _split_numbers(text: str, structured: bool) -> tuple[object, list[float]]:
+    """The output with its numbers blanked out, and the numbers in order: a
+    structured output's JSON floats, or a plain output's comma- or
+    space-separated numeric tokens.  A plain output's runs of blanks count
+    as one, since column padding follows the width of the numbers."""
+    numbers: list[float] = []
+    if not structured:
+        pieces = _SEPARATORS.split(text)
+        for k, piece in enumerate(pieces):
+            if _NUMBER.fullmatch(piece):
+                numbers.append(float(piece))
+                pieces[k] = "#"
+            elif k % 2:
+                pieces[k] = re.sub(r"[^\S\n]+", " ", piece)
+        return pieces, numbers
+
+    def blank(x):
+        if isinstance(x, float):
+            numbers.append(x)
+            return None
+        if isinstance(x, dict):
+            return {key: blank(value) for key, value in x.items()}
+        if isinstance(x, list):
+            return [blank(value) for value in x]
+        return x
+
+    return blank(json.loads(text)), numbers
+
+
+def largest_change(want: dict, got: dict, structured: bool) -> str:
+    """How far run output ``got`` is from ``want``: the largest absolute and
+    relative change among their numbers, when nothing else differs."""
+    if got["exit"] != want["exit"]:
+        return "exit code differs"
+    pairs = []
+    for key in ("stdout", "stderr"):
+        as_json = structured and key == "stdout" and bool(want[key]) and bool(got[key])
+        (shape_w, w), (shape_g, g) = (_split_numbers(r[key], as_json) for r in (want, got))
+        if shape_w != shape_g or len(w) != len(g):
+            return "more than the numbers differs"
+        pairs += zip(w, g)
+    absolute = relative = (0.0, 0.0)  # (change, the value it changed)
+    for w, g in pairs:
+        if w != g:
+            change = abs(g - w)
+            absolute = max(absolute, (change, w))
+            relative = max(relative, (change / max(abs(w), abs(g)), w))
+    return (
+        f"largest change {absolute[0]:.3g} absolute (of {absolute[1]:.6g}), "
+        f"{relative[0]:.3g} relative (of {relative[1]:.6g})"
+    )
+
+
 def diff_golden() -> list[str]:
-    """One line per corpus run whose output differs now, naming what differs."""
+    """One line per corpus run whose output differs now, naming what differs
+    and how far its numbers moved."""
     with open(GOLDEN, encoding="utf-8") as fh:
         corpus = json.load(fh)
     changed = []
@@ -170,7 +231,9 @@ def diff_golden() -> list[str]:
             got = run_cli(run["argv"], entry["text"])
             fields = [key for key in ("exit", "stdout", "stderr") if got[key] != run[key]]
             if fields:
-                changed.append(f"{entry['name']}: {' '.join(run['argv'])} ({', '.join(fields)})")
+                size = largest_change(run, got, "structured" in run["argv"])
+                argv = " ".join(run["argv"])
+                changed.append(f"{entry['name']}: {argv} ({', '.join(fields)}): {size}")
     return changed
 
 

@@ -40,7 +40,7 @@ class TestBuildSystem:
             ]
         )
         assert np.array_equal(system, expected)
-        assert np.array_equal(prepare(example4()).missing.sum(1), [2, 2, 1, 1])
+        assert np.array_equal(example4().missing_mask.sum(1), [2, 2, 1, 1])
 
     def test_example4_rhs(self):
         rhs = prepare(example4()).log_row_sums

@@ -33,7 +33,7 @@ class TestBuildHarker:
         system = build_harker(example4())
         # rows 1 and 2 are missing two comparisons each, rows 3 and 4 one each
         assert np.array_equal(np.diag(system), [3.0, 3.0, 2.0, 2.0])
-        assert np.array_equal(prepare(example4()).missing.sum(1), [2, 2, 1, 1])
+        assert np.array_equal(example4().missing_mask.sum(1), [2, 2, 1, 1])
         assert system[0, 3] == 2.0
         assert system[0, 1] == 0.0
         assert system[2, 1] == pytest.approx(1 / 3)
@@ -157,7 +157,7 @@ class TestShiftedIteration:
         # the smallest diagonal entry would zero the diagonal and leave a
         # periodic matrix that power iteration cannot converge on.
         m = from_edges(n, {(k, (k + 1) % n): c for k, c in enumerate([2.0, 3.0, 5.0, 7.0, 1 / 4, 6.0][:n])})
-        assert np.array_equal(prepare(m).missing.sum(1), np.full(n, n - 3))
+        assert np.array_equal(m.missing_mask.sum(1), np.full(n, n - 3))
         assert np.abs(rank_harker(m).weights - perron_vector(build_harker(m))).max() < 1e-9
 
     def test_two_alternatives(self):

@@ -41,7 +41,6 @@ from pcrank.matrix import (
     NON_RECIPROCAL,
     ROW_ALL_MISSING,
     default_labels,
-    log_entries,
 )
 
 from helpers import (
@@ -164,6 +163,8 @@ class TestParse:
         m = example4()
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            m.missing_mask[0, 1] = False
 
 
 class TestSerialize:
@@ -600,35 +601,39 @@ class TestValidate:
 
 class TestPrepare:
     def test_shared_arrays(self):
-        p = prepare(example4())
-        assert p.matrix.equals(example4())
-        assert np.array_equal(p.missing, example4().missing_mask)
-        assert np.array_equal(p.laplacian, laplacian(graph_of(example4())))
-        assert np.array_equal(p.log_entries, log_entries(example4()))
-        assert np.array_equal(p.log_row_sums, p.log_entries.sum(1))
-        assert np.array_equal(p.present, np.flatnonzero(~example4().missing_mask))
-        for a in (p.missing, p.laplacian, p.log_entries, p.log_row_sums, p.present):
+        m = example4()
+        p = prepare(m)
+        assert p.matrix.equals(m)
+        assert np.array_equal(p.laplacian, laplacian(graph_of(m)))
+        rows, cols = np.divmod(np.flatnonzero(~m.missing_mask), m.n)
+        assert np.array_equal(p.rows, rows) and np.array_equal(p.cols, cols)
+        assert np.array_equal(p.logs, np.log(m.values[rows, cols]))
+        # ln 2, ln 3, ln 1/3 + ln 2, ln 1/2 + ln 1/2 by row; the unit diagonal adds 0
+        assert np.allclose(p.log_row_sums, np.log([2, 3, 2 / 3, 1 / 4]), rtol=1e-14, atol=0)
+        for a in (p.laplacian, p.log_row_sums, p.rows, p.cols, p.logs):
             with pytest.raises(ValueError):
-                a[0, ...] = 5.0
+                a[0, ...] = 5
         w = rank_gm(p).weights
-        assert s_star(p, w) == s_star(example4(), w)
+        assert s_star(p, w) == s_star(m, w)
 
     @pytest.mark.parametrize("n, log_range", [(2, 1.0), (9, 2.2), (33, 40.0), (64, 700.0)])
-    def test_log_entries_bit_for_bit(self, n, log_range):
-        """Logs of the present entries, scattered into zeros, are the bits of
-        the logs of the grid with 1 where missing."""
+    def test_logs_bit_for_bit(self, n, log_range):
+        """The logs are the bits of np.log of the present values gathered in
+        row-major order, and their row sums agree with exact sums."""
         rng = np.random.default_rng(n)
         for p in (0.0, 0.5, 0.9):
             m = random_incomplete(n, rng, p, log_range)
-            expected = np.log(np.where(m.missing_mask, 1.0, m.values)).tobytes()
-            assert prepare(m).log_entries.tobytes() == expected
-            assert log_entries(m).tobytes() == expected
+            prepared = prepare(m)
+            rows, cols = np.divmod(np.flatnonzero(~m.missing_mask), n)
+            assert np.array_equal(prepared.rows, rows) and np.array_equal(prepared.cols, cols)
+            logs = np.log(m.values[rows, cols])
+            assert prepared.logs.tobytes() == logs.tobytes()
+            sums = [math.fsum(logs[rows == i]) for i in range(n)]
+            assert np.allclose(prepared.log_row_sums, sums, rtol=1e-12, atol=1e-12 * log_range)
 
     def test_shares_the_matrix_mask(self):
         m = example4()
-        assert prepare(m).missing is m.missing_mask
-        with pytest.raises(ValueError):
-            m.missing_mask[0, 1] = False
+        assert prepare(m).matrix.missing_mask is m.missing_mask
 
     def test_raises_like_require_valid(self):
         with pytest.raises(DisconnectedGraphError):

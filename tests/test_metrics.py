@@ -19,9 +19,8 @@ from pcrank import (
     s_complete,
     s_star,
 )
-from pcrank.matrix import log_entries
 
-from helpers import consistent_complete, example4, random_incomplete
+from helpers import LOG9, consistent_complete, example4, random_incomplete
 
 
 class TestSComplete:
@@ -95,17 +94,23 @@ class TestSStar:
         with pytest.raises(ValueError):
             s_star(example4(), np.array([1.0, -1.0, 1.0, 1.0]))
 
-    @pytest.mark.parametrize("n, p", [(2, 0.0), (7, 0.4), (40, 0.9)])
-    def test_sums_the_dense_grid_bit_for_bit(self, n, p):
-        # the reference evaluates every (i, j) and zeroes the missing ones
+    @pytest.mark.parametrize(
+        "n, p, log_range",
+        [(2, 0.0, LOG9), (7, 0.4, LOG9), (40, 0.9, LOG9), (40, 0.5, 700.0)],
+        ids=["2-0.0", "7-0.4", "40-0.9", "40-0.5-wide"],
+    )
+    def test_matches_the_dense_grid(self, n, p, log_range):
+        # the reference evaluates every (i, j) and zeroes the missing ones;
+        # the sum over the present terms alone runs in another order
         rng = np.random.default_rng(n)
-        m = random_incomplete(n, rng, p)
+        m = random_incomplete(n, rng, p, log_range)
         w = np.exp(rng.uniform(-3, 3, size=n))
         x = np.log(w)
-        terms = (log_entries(m) - (x[:, None] - x[None, :])) ** 2
+        logs = np.log(np.where(m.missing_mask, 1.0, m.values))
+        terms = (logs - (x[:, None] - x[None, :])) ** 2
         expected = float(np.where(m.missing_mask, 0.0, terms).sum())
-        assert s_star(m, w) == expected
-        assert s_star(prepare(m), w) == expected
+        assert s_star(m, w) == pytest.approx(expected, rel=1e-12)
+        assert s_star(prepare(m), w) == s_star(m, w)
 
 
 class TestOrdinalRanking:
