@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import SingularMatrixError, solve
-from .matrix import PCMatrix, Problem, prepare
+from .matrix import PCMatrix, Problem, _adopt, prepare
 from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 
 __all__ = ["build_system", "rank_gm", "complete_matrix"]
@@ -32,10 +32,16 @@ __all__ = ["build_system", "rank_gm", "complete_matrix"]
 def build_system(m: PCMatrix | Problem) -> np.ndarray:
     """The log-weight system matrix L + J of a valid, connected matrix.
 
-    The right-hand side is ``prepare(m).log_row_sums``.  Raises
-    DisconnectedGraphError / InvalidMatrixError via validation.
+    Written into one fresh array: 1 where c[i,j] is missing, 0 where it is
+    present, and on the diagonal n - s_i, the count of row i's present
+    entries in the edge list, its unit diagonal included.  The right-hand
+    side is ``prepare(m).log_row_sums``.  Raises DisconnectedGraphError /
+    InvalidMatrixError via validation.
     """
-    return prepare(m).laplacian + 1.0
+    p = prepare(m)
+    system = p.matrix.missing_mask.astype(float)
+    system.flat[:: p.matrix.n + 1] = np.bincount(p.rows, minlength=p.matrix.n)
+    return system
 
 
 def _solve_log_weights(p: Problem) -> np.ndarray:
@@ -51,10 +57,13 @@ def _solve_log_weights(p: Problem) -> np.ndarray:
 
 def _from_log_weights(p: Problem, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Unnormalized weights exp(x) and the residual max|L x - b| of log-weights
-    x; L ignores a constant shift of x, so it holds for GM and LLS alike."""
+    x; L ignores a constant shift of x, so it holds for GM and LLS alike.
+    (L x)_i sums x_i - x_j over the present entries of row i; the diagonal's
+    terms are 0."""
     with np.errstate(over="ignore"):  # normalize rejects the infinities
         w = np.exp(x)
-    return w, {"linear_residual": float(np.abs(p.laplacian @ x - p.log_row_sums).max())}
+    lx = np.bincount(p.rows, x[p.rows] - x[p.cols], p.matrix.n)
+    return w, {"linear_residual": float(np.abs(lx - p.log_row_sums).max())}
 
 
 def _solve_gm(p: Problem) -> tuple[np.ndarray, dict]:
@@ -80,9 +89,11 @@ def complete_matrix(m: PCMatrix | Problem) -> PCMatrix:
     """
     p = prepare(m)
     x = _solve_log_weights(p)
+    values = np.subtract.outer(x, x)
     with np.errstate(over="ignore"):
-        ratios = np.exp(x[:, None] - x[None, :])
-    values = np.where(p.matrix.missing_mask, ratios, p.matrix.values)
-    if not (np.isfinite(values).all() and (values > 0).all()):
+        np.exp(values, out=values)
+    present = p.rows * p.matrix.n + p.cols
+    values.put(present, p.matrix.values.take(present))
+    if not (0.0 < values.min() and values.max() < np.inf):  # False on a NaN
         raise UnrepresentableWeightsError("fitted ratios are not representable in double precision")
-    return PCMatrix(values, p.matrix.labels)
+    return _adopt(values, p.matrix.labels)

@@ -50,9 +50,10 @@ __all__ = ["build_harker", "rank_harker"]
 def build_harker(m: PCMatrix | Problem) -> np.ndarray:
     """The eigenproblem matrix B: present entries, 0 where missing, s_i + 1
     on the diagonal."""
-    m = prepare(m).matrix
-    b = np.where(m.missing_mask, 0.0, m.values)
-    np.fill_diagonal(b, m.missing_mask.sum(axis=1) + 1)
+    p = prepare(m)
+    n = p.matrix.n
+    b = np.where(p.matrix.missing_mask, 0.0, p.matrix.values)
+    np.fill_diagonal(b, n + 1 - np.bincount(p.rows, minlength=n))
     return b
 
 

@@ -112,7 +112,7 @@ def power_iteration(
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
-    if (a < 0).any():
+    if a.min() < 0:
         raise ValueError("power iteration expects a nonnegative matrix")
 
     n = a.shape[0]

@@ -28,16 +28,23 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
     """The Laplacian with row and column ``anchor`` removed: the symmetric
     positive definite matrix LLS solves once x[anchor] is pinned to 0.
 
-    The right-hand side is ``prepare(m).log_row_sums`` without entry
-    ``anchor``.  Raises IndexError for an anchor out of range.
+    Written into one fresh array from the problem's edge list: -1 at each
+    present pair off the anchor, and on the diagonal the degrees, edges to
+    the anchor included.  The right-hand side is ``prepare(m).log_row_sums``
+    without entry ``anchor``.  Raises IndexError for an anchor out of range.
     """
     p = prepare(m)
-    if not 0 <= anchor < p.matrix.n:
-        raise IndexError(f"anchor {anchor} out of range for n={p.matrix.n}")
-    a, lap = anchor, p.laplacian
-    system = np.empty((p.matrix.n - 1,) * 2)
-    system[:a, :a], system[:a, a:] = lap[:a, :a], lap[:a, a + 1 :]
-    system[a:, :a], system[a:, a:] = lap[a + 1 :, :a], lap[a + 1 :, a + 1 :]
+    n, a = p.matrix.n, anchor
+    if not 0 <= a < n:
+        raise IndexError(f"anchor {a} out of range for n={n}")
+    kept = (p.rows != a) & (p.cols != a)
+    rows, cols = p.rows[kept], p.cols[kept]
+    rows -= rows > a
+    cols -= cols > a
+    system = np.zeros((n - 1, n - 1))
+    system.put(rows * (n - 1) + cols, -1.0)  # the diagonal's -1 is overwritten below
+    degrees = np.bincount(p.rows, minlength=n) - 1.0  # less the unit diagonal
+    system.flat[::n] = np.concatenate((degrees[:a], degrees[a + 1 :]))
     return system
 
 

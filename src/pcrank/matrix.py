@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import connected_components, graph_of, laplacian
+from .graph import connected_components, graph_of
 
 __all__ = [
     "MISSING",
@@ -105,9 +105,11 @@ def _check_labels(labels: tuple[str, ...]) -> None:
 class PCMatrix:
     """Square grid of positive ratios with NaN marking missing comparisons.
 
-    Immutable after construction (the value array is made read-only); safe to
-    share across threads.  Construction checks shape and labels only — use
-    :func:`validate` for diagonal, positivity, reciprocity, and connectivity.
+    Immutable after construction: the constructor copies ``values`` into a
+    read-only float array, so later writes to the caller's array do not show;
+    safe to share across threads.  Construction checks shape and labels only —
+    use :func:`validate` for diagonal, positivity, reciprocity, and
+    connectivity.
     ``missing_mask`` is the read-only bool (n, n) array, True where the
     comparison is missing; it is computed once, here, and every reader of
     the matrix shares it.
@@ -118,7 +120,10 @@ class PCMatrix:
     missing_mask: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    def _own(self, v: np.ndarray) -> None:
+        """Check the float array ``v`` and the labels, and keep ``v`` read-only."""
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {v.shape}")
         if v.shape[0] < 2:
@@ -154,6 +159,15 @@ class PCMatrix:
 
     def __repr__(self) -> str:
         return f"PCMatrix(n={self.n}, labels={list(self.labels)!r})"
+
+
+def _adopt(values: np.ndarray, labels: tuple[str, ...] = ()) -> PCMatrix:
+    """A PCMatrix that keeps ``values``, a float array just built here and
+    referenced nowhere else, instead of copying it."""
+    m = object.__new__(PCMatrix)
+    object.__setattr__(m, "labels", labels)
+    m._own(values)
+    return m
 
 
 @dataclass(frozen=True)
@@ -320,7 +334,7 @@ def parse_matrix(text: str) -> PCMatrix:
         names = f"labels comment names {len(labels)} alternatives"
         raise ParseError(f"{names}, matrix has {width}", labels_line)
 
-    return PCMatrix(values, tuple(labels) if labels else ())
+    return _adopt(values, tuple(labels) if labels else ())
 
 
 def serialize_matrix(m: PCMatrix) -> str:
@@ -349,10 +363,10 @@ def validate(
     Violations are listed by kind in the order above, each kind in row-major
     order of its positions (a pair's upper one).  Past the diagonal and the
     graph, only present entries and their mirrors are read.  :func:`prepare`
-    passes the adjacency and the present rows and columns it has found."""
+    passes the adjacency and the edge list (see :func:`_edges`) it has found."""
     v, n = m.values, m.n
     adj = graph_of(m) if _graph is None else _graph
-    rows, cols = _edges(m.missing_mask)[1:] if _present is None else _present
+    flat, rows, cols = _edges(m.missing_mask) if _present is None else _present
     violations: list[Violation] = []
 
     diag = np.diag(v)
@@ -361,8 +375,8 @@ def validate(
         violations.append(Violation(DIAGONAL_NOT_ONE, i, i, f"expected 1, got {shown}"))
 
     off_diagonal = rows != cols
-    rows, cols = rows[off_diagonal], cols[off_diagonal]
-    given, mirror = v[rows, cols], v[cols, rows]
+    flat, rows, cols = flat[off_diagonal], rows[off_diagonal], cols[off_diagonal]
+    given, mirror = v.take(flat), v.take(cols * n + rows)
     bad = ~np.isfinite(given) | (given <= 0)
     for i, j, x in zip(rows[bad].tolist(), cols[bad].tolist(), given[bad].tolist()):
         violations.append(Violation(NON_POSITIVE, i, j, f"got {x:g}"))
@@ -428,11 +442,12 @@ class Problem:
     valid and its comparison graph connected.  The present comparisons are
     one edge list in row-major order, diagonal included: entry k is
     c[rows[k], cols[k]], and ``logs[k]`` is its logarithm.  ``log_row_sums``
-    sums ``logs`` by row.  The arrays are read-only.
+    sums ``logs`` by row.  The arrays are read-only.  No n x n array is held:
+    each method writes its own matrix from the edge list and the matrix's
+    missing mask.
     """
 
     matrix: PCMatrix
-    laplacian: np.ndarray
     log_row_sums: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -447,11 +462,11 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     """
     if isinstance(m, Problem):
         return m
-    adj = graph_of(m)
-    flat, rows, cols = _edges(m.missing_mask)
-    _raise_if_invalid(validate(m, tol, _graph=adj, _present=(rows, cols)))
+    edges = _edges(m.missing_mask)
+    _raise_if_invalid(validate(m, tol, _graph=graph_of(m), _present=edges))
+    flat, rows, cols = edges
     logs = np.log(m.values.take(flat))
-    arrays = (laplacian(adj), np.bincount(rows, logs, m.n), rows, cols, logs)
+    arrays = (np.bincount(rows, logs, m.n), rows, cols, logs)
     for a in arrays:
         a.setflags(write=False)
     return Problem(m, *arrays)
@@ -465,4 +480,4 @@ def repair_reciprocal(m: PCMatrix) -> PCMatrix:
     v = m.values.copy()
     one_sided = m.missing_mask & ~m.missing_mask.T
     v[one_sided] = 1.0 / v.T[one_sided]
-    return PCMatrix(v, m.labels)
+    return _adopt(v, m.labels)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -165,6 +166,15 @@ class TestParse:
             m.values[0, 0] = 5.0
         with pytest.raises(ValueError):
             m.missing_mask[0, 1] = False
+
+    @pytest.mark.parametrize("text", [EXAMPLE4_TEXT, "1,2\n0.5,1\n", "1, 1/2\n2, 1\n"])
+    def test_built_matrices_are_read_only(self, text):
+        """Parsed, completed and repaired values, whichever reader built them."""
+        m = parse_matrix(text)
+        for built in (m, complete_matrix(m), repair_reciprocal(m)):
+            assert not built.values.flags.writeable and not built.missing_mask.flags.writeable
+            with pytest.raises(ValueError):
+                built.values[0, 1] = 5.0
 
 
 class TestSerialize:
@@ -604,13 +614,14 @@ class TestPrepare:
         m = example4()
         p = prepare(m)
         assert p.matrix.equals(m)
-        assert np.array_equal(p.laplacian, laplacian(graph_of(m)))
+        assert [f.name for f in dataclasses.fields(p)] == ["matrix", "log_row_sums", "rows", "cols", "logs"]
+        assert np.array_equal(build_system(p), laplacian(graph_of(m)) + 1.0)
         rows, cols = np.divmod(np.flatnonzero(~m.missing_mask), m.n)
         assert np.array_equal(p.rows, rows) and np.array_equal(p.cols, cols)
         assert np.array_equal(p.logs, np.log(m.values[rows, cols]))
         # ln 2, ln 3, ln 1/3 + ln 2, ln 1/2 + ln 1/2 by row; the unit diagonal adds 0
         assert np.allclose(p.log_row_sums, np.log([2, 3, 2 / 3, 1 / 4]), rtol=1e-14, atol=0)
-        for a in (p.laplacian, p.log_row_sums, p.rows, p.cols, p.logs):
+        for a in (p.log_row_sums, p.rows, p.cols, p.logs):
             with pytest.raises(ValueError):
                 a[0, ...] = 5
         w = rank_gm(p).weights
@@ -689,6 +700,13 @@ class TestConstruction:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate alternative label 'b'"):
             PCMatrix(np.ones((3, 3)), ("b", "c", "b"))
+
+    def test_copies_the_callers_array(self):
+        values = np.array([[1.0, 2.0], [0.5, 1.0]])
+        m = PCMatrix(values)
+        values[0, 1] = 3.0
+        assert m.values[0, 1] == 2.0 and not np.shares_memory(m.values, values)
+        assert values.flags.writeable and not m.values.flags.writeable
 
     def test_checks_given_labels_only(self, monkeypatch):
         calls = record_calls(monkeypatch, _check_labels)
