@@ -16,6 +16,12 @@ the graph is connected — so the system has exactly one solution, found
 from one Cholesky factor and two triangular solves.  Exponentiating x
 recovers the weights; for a complete matrix this reduces to plain row
 geometric means.
+
+The right-hand side is taken as 1/2 sum_j (ln c[i,j] - ln c[j,i]), which
+equals the row sum above when every pair is exactly reciprocal.  On pairs
+reciprocal only within the tolerance it uses their mean, as the
+least-squares fit over the present entries does, so GM and LLS agree there
+too.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ def build_system(m: PCMatrix | Problem) -> np.ndarray:
     Written into one fresh array: 1 where c[i,j] is missing, 0 where it is
     present, and on the diagonal n - s_i, the count of row i's present
     entries in the edge list, its unit diagonal included.  The right-hand
-    side is ``prepare(m).log_row_sums``.  Raises DisconnectedGraphError /
+    side is ``prepare(m).rhs``.  Raises DisconnectedGraphError /
     InvalidMatrixError via validation.
     """
     p = prepare(m)
@@ -46,7 +52,7 @@ def build_system(m: PCMatrix | Problem) -> np.ndarray:
 
 def _solve_log_weights(p: Problem) -> np.ndarray:
     try:
-        return solve(build_system(p), p.log_row_sums)
+        return solve(build_system(p), p.rhs)
     except SingularMatrixError as e:  # impossible for connected graphs
         raise RuntimeError(
             f"singular geometric-mean system for a validated matrix (n={p.matrix.n}, "
@@ -63,7 +69,7 @@ def _from_log_weights(p: Problem, x: np.ndarray) -> tuple[np.ndarray, dict]:
     with np.errstate(over="ignore"):  # normalize rejects the infinities
         w = np.exp(x)
     lx = np.bincount(p.rows, x[p.rows] - x[p.cols], p.matrix.n)
-    return w, {"linear_residual": float(np.abs(lx - p.log_row_sums).max())}
+    return w, {"linear_residual": float(np.abs(lx - p.rhs).max())}
 
 
 def _solve_gm(p: Problem) -> tuple[np.ndarray, dict]:

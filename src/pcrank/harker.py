@@ -10,8 +10,10 @@ where B keeps the present off-diagonal entries, zeroes the missing ones, and
 puts s_i + 1 on the diagonal (s_i = missing entries in row i).  For a
 connected comparison graph B is nonnegative and primitive, so the principal
 eigenvector is real and strictly positive.  :func:`pcrank.linalg.power_iteration`
-finds it with power steps and then Noda's iteration.  For a complete matrix B
-equals the matrix itself and this is plain EVM.
+finds it: on small matrices from one dense eigensolve when its vector passes
+the iteration's own final test, and otherwise with power steps and then
+Noda's iteration.  For a complete matrix B equals the matrix itself
+and this is plain EVM.
 
 The iteration runs on B - mu*I with mu = min_i s_i.  The shift keeps every
 off-diagonal entry and leaves a diagonal s_i - mu + 1 >= 1, so the shifted

@@ -6,7 +6,8 @@ definite, so the one direct solver is Cholesky: numpy's LAPACK factor, then a
 forward and a backward substitution by row blocks.  This module adds the
 contracts the solvers rely on (an explicit singularity guard relative to the
 matrix max-norm, and a residual-checked dominant eigenpair, found by power
-steps and then Noda's iteration).
+steps and then Noda's iteration, or on small matrices by one LAPACK
+eigensolve whose vector passes the iteration's own final test).
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ PIVOT_RTOL = 1e-12
 #: matrix-vector update and one small ``np.linalg.solve``; 32 was the fastest
 #: of 16-96 at n = 100-600, and every size up to 32 is a single block.
 _BLOCK = 32
+
+#: The largest n for which :func:`power_iteration` first tries one dense
+#: eigensolve.  Against power and Noda steps on random complete and Harker
+#: matrices, with one BLAS thread on a 2-core x86-64 VM, dgeev took 55-95
+#: against 290-330 us at n = 8, 270-300 against 280-340 us at n = 24, and
+#: 360-380 against 300-365 us at n = 28; beyond that the iteration is faster.
+_EIG_MAX_N = 24
 
 #: The smallest normal double, and the spacing of the doubles below it.
 _TINY = float(np.finfo(float).tiny)
@@ -91,8 +99,10 @@ def power_iteration(
 ) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a nonnegative irreducible matrix.
 
-    Power steps from the uniform vector (l1 renormalization each step), then
-    Noda steps.  Returns (lam, v) with max|a @ v - lam * v| <= tol * lam *
+    Up to n = _EIG_MAX_N, first the vector of one dense eigensolve
+    (:func:`_eigensolve`), when it passes the test below; otherwise power
+    steps from the uniform vector (l1 renormalization each step), then Noda
+    steps.  Returns (lam, v) with max|a @ v - lam * v| <= tol * lam *
     max|v|, v strictly positive and summing to 1.  Raises ConvergenceError
     after ``max_iter`` steps of either kind or when ``v`` has a zero entry,
     except that with a positive diagonal a zero entry can only be underflow,
@@ -107,8 +117,16 @@ def power_iteration(
     step, so also before every solve.  The test is absolute, and a vector
     whose small entries are wrong by orders of magnitude can pass it; Noda
     steps reach such vectors on wide-range matrices, so once they have begun
-    the test must also hold entry by entry (:meth:`_Noda.settled`).  A Noda
+    the test must also hold entry by entry (:func:`_settled`).  A Noda
     step that cannot be taken in floating point gives way to a power step.
+
+    On small matrices the per-step numpy overhead, not the flops, sets the
+    cost, and one LAPACK eigensolve is cheaper than the handful of steps.
+    Its vector is accurate relative to its largest entry only, so it is
+    accepted only if it passes the test that ends an iteration once Noda
+    steps have begun, with every entry finite and normal.  Otherwise the
+    iteration runs as if the eigensolve had not been tried, so the errors
+    above still come from the iteration.  The eigensolve counts as no step.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
@@ -116,6 +134,10 @@ def power_iteration(
         raise ValueError("power iteration expects a nonnegative matrix")
 
     n = a.shape[0]
+    if n <= _EIG_MAX_N:
+        pair = _eigensolve(a, tol)
+        if pair is not None:
+            return pair
     switch = max(n // 3, 1)
     noda = None
     v = np.full(n, 1.0 / n)
@@ -137,12 +159,45 @@ def power_iteration(
         error = np.abs(av - lam * v)
         residual = float(error.max())
         if residual <= tol * lam * float(np.abs(v).max()) and (
-            noda is None or noda.settled(v, error, lam, tol)
+            noda is None or _settled(a, v, error, lam, tol)
         ):
             if (v > 0).all():
                 return lam, v
             raise _zero_entry_error(a)
     raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
+
+
+def _eigensolve(a: np.ndarray, tol: float) -> tuple[float, np.ndarray] | None:
+    """(lam, v) from the eigenvector of the eigenvalue of ``a`` with the largest
+    real part (LAPACK dgeev), scaled to sum 1, with lam = sum(a @ v); or None
+    unless every entry of v is finite and at least the smallest normal double,
+    lam is positive, and the residual passes both the absolute test and
+    :func:`_settled`."""
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):  # a zero sum, a NaN: rejected below
+        v = vectors[:, values.real.argmax()].real
+        v = v / v.sum()
+        if not ((v >= _TINY) & (v < math.inf)).all():
+            return None
+        av = a @ v
+        lam = float(av.sum())
+        error = np.abs(av - lam * v)
+        passed = 0.0 < lam < math.inf and error.max() <= tol * lam * v.max()
+    return (lam, v) if passed and _settled(a, v, error, lam, tol) else None
+
+
+def _settled(a: np.ndarray, v: np.ndarray, error: np.ndarray, lam: float, tol: float) -> bool:
+    """Whether error = |a v - lam v| is within tol * lam * v_i at every i.
+
+    Entries below the normal range carry only an absolute precision, the
+    subnormal spacing, so each may add that spacing times its column of a
+    (and lam its own) to the error of every entry it feeds.
+    """
+    slack = (a @ (v < _TINY) + lam) * (v.size * _SUBNORMAL)
+    return bool((error <= tol * lam * v + slack).all())
 
 
 def _zero_entry_error(a: np.ndarray) -> Exception:
@@ -170,16 +225,6 @@ class _Noda:
         self.a = a
         self.floor = 0.0  # a lower bound on lam
         self.width = math.inf  # log(sigma / floor) at the last step
-
-    def settled(self, v: np.ndarray, error: np.ndarray, lam: float, tol: float) -> bool:
-        """Whether error = |a v - lam v| is within tol * lam * v_i at every i.
-
-        Entries below the normal range carry only an absolute precision, the
-        subnormal spacing, so each may add that spacing times its column of a
-        (and lam its own) to the error of every entry it feeds.
-        """
-        slack = (self.a @ (v < _TINY) + lam) * (v.size * _SUBNORMAL)
-        return bool((error <= tol * lam * v + slack).all())
 
     def step(self, v: np.ndarray, av: np.ndarray) -> np.ndarray | None:
         """The next iterate, summing to 1, or None if it is not representable.

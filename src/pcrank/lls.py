@@ -2,7 +2,9 @@
 
 Minimizing the sum of squared differences ln c[i,j] - (x_i - x_j) over the
 present entries leads to the normal equations L @ x = b, where L is the
-comparison-graph Laplacian and b_i sums ln over row i's present entries.
+comparison-graph Laplacian and b_i = 1/2 sum_j (ln c[i,j] - ln c[j,i]) over
+row i's present pairs.  The entries of b sum to 0, so the system is
+consistent even where c[i,j] * c[j,i] is 1 only within the tolerance.
 L is singular (constant vectors are its nullspace), so one log-weight is
 anchored to zero; for a connected graph the remaining principal subsystem is
 symmetric positive definite and the normalized result does not depend on
@@ -30,7 +32,7 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
 
     Written into one fresh array from the problem's edge list: -1 at each
     present pair off the anchor, and on the diagonal the degrees, edges to
-    the anchor included.  The right-hand side is ``prepare(m).log_row_sums``
+    the anchor included.  The right-hand side is ``prepare(m).rhs``
     without entry ``anchor``.  Raises IndexError for an anchor out of range.
     """
     p = prepare(m)
@@ -49,7 +51,7 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
 
 
 def _solve_lls(p: Problem, anchor: int = 0) -> tuple[np.ndarray, dict]:
-    x = solve(build_lls_system(p, anchor), np.delete(p.log_row_sums, anchor))
+    x = solve(build_lls_system(p, anchor), np.delete(p.rhs, anchor))
     return _from_log_weights(p, np.insert(x, anchor, 0.0))
 
 

@@ -441,14 +441,17 @@ class Problem:
     Build it with :func:`prepare` only: holding a Problem means the matrix is
     valid and its comparison graph connected.  The present comparisons are
     one edge list in row-major order, diagonal included: entry k is
-    c[rows[k], cols[k]], and ``logs[k]`` is its logarithm.  ``log_row_sums``
-    sums ``logs`` by row.  The arrays are read-only.  No n x n array is held:
-    each method writes its own matrix from the edge list and the matrix's
-    missing mask.
+    c[rows[k], cols[k]], and ``logs[k]`` is its logarithm.  ``rhs`` is the
+    right-hand side b that GM and LLS share, b_i = 1/2 sum_j (ln c_ij -
+    ln c_ji) over the present pairs of row i: the row sums of the
+    antisymmetric part of ln c, so a pair that is reciprocal only within the
+    tolerance enters the least-squares fit as the mean of its two log
+    ratios.  The arrays are read-only.  No n x n array is held: each method
+    writes its own matrix from the edge list and the matrix's missing mask.
     """
 
     matrix: PCMatrix
-    log_row_sums: np.ndarray
+    rhs: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     logs: np.ndarray
@@ -466,7 +469,10 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     _raise_if_invalid(validate(m, tol, _graph=graph_of(m), _present=edges))
     flat, rows, cols = edges
     logs = np.log(m.values.take(flat))
-    arrays = (np.bincount(rows, logs, m.n), rows, cols, logs)
+    rhs = np.bincount(rows, logs, m.n)
+    rhs -= np.bincount(cols, logs, m.n)
+    rhs *= 0.5
+    arrays = (rhs, rows, cols, logs)
     for a in arrays:
         a.setflags(write=False)
     return Problem(m, *arrays)

@@ -122,7 +122,7 @@ def test_nonsingularity_witnesses():
             system = build_system(m)
             assert np.array_equal(system @ np.ones(n), n * np.ones(n))
             assert np.array_equal(system, system.T)
-            solve(system, prepare(m).log_row_sums)  # must not raise
+            solve(system, prepare(m).rhs)  # must not raise
 
         # Exhaustive check at n=4: every subset of the 6 unordered pairs.
         # 38 of the 64 subsets form a connected graph (the count of labeled

@@ -20,6 +20,7 @@ from helpers import (
     example4,
     random_incomplete,
     record_calls,
+    run_cli,
 )
 
 DISCONNECTED_TEXT = "1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"
@@ -111,6 +112,18 @@ class TestRank:
         lls = json.loads(capsys.readouterr().out)
         diff = np.abs(np.array(gm["weights"]) - np.array(lls["weights"])).max()
         assert diff < 1e-9
+
+    @pytest.mark.parametrize("method", ["gm", "lls"])
+    def test_pairs_reciprocal_within_tol_give_the_least_squares_fit(self, method):
+        # On a path each pair's mean log ratio, (ln c_ij - ln c_ji) / 2, is
+        # fitted exactly, however far c_ij * c_ji is from 1.
+        text = "1,2,?\n0.5005,1,3\n?,0.333333333333,1\n"
+        x2 = (np.log(3) - np.log(0.333333333333)) / 2
+        x1 = x2 + (np.log(2) - np.log(0.5005)) / 2
+        fit = np.exp([x1, x2, 0.0]) / np.exp([x1, x2, 0.0]).sum()
+        got = run_cli(["rank", "--method", method, "--tol", "1e-3", "--format", "structured"], text)
+        assert got["exit"] == 0
+        assert np.abs(np.array(json.loads(got["stdout"])["weights"]) - fit).max() < 1e-12
 
     def test_structured_roundtrip(self, example_file, capsys):
         assert main(["rank", "--format", "structured", example_file]) == 0

@@ -43,7 +43,7 @@ class TestBuildSystem:
         assert np.array_equal(example4().missing_mask.sum(1), [2, 2, 1, 1])
 
     def test_example4_rhs(self):
-        rhs = prepare(example4()).log_row_sums
+        rhs = prepare(example4()).rhs
         ln = np.log
         expected = np.array([ln(2), ln(3), ln(1 / 3) + ln(2), ln(1 / 2) + ln(1 / 2)])
         assert np.abs(rhs - expected).max() < 1e-15

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import pcrank.linalg
-from pcrank import ConvergenceError, SingularMatrixError, power_iteration, solve
+from pcrank import (
+    ConvergenceError,
+    SingularMatrixError,
+    build_harker,
+    parse_matrix,
+    power_iteration,
+    solve,
+)
 
 from helpers import consistent_complete, random_complete, record_calls
 
@@ -175,3 +182,88 @@ class TestPowerIteration:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             power_iteration(np.ones((2, 3)))
+
+
+SAATY = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+
+#: Five alternatives on an inconsistent cycle plus two pendant pairs, with
+#: ratios from 1e-12 to 1e12.  The Perron vector of its Harker matrix spans
+#: about 1e12, so a dense eigensolver's vector, accurate relative to its
+#: largest entry, gets the smallest entries right to only a few digits.
+WIDE_TEXT = (
+    "1,1e-2,?,1e-4,1e3\n1e2,1,1e-12,1e10,?\n?,1e12,1,?,?\n1e4,1e-10,?,1,1e-8\n1e-3,?,?,1e8,1\n"
+)
+
+
+def saaty_complete(n: int, rng: np.random.Generator) -> np.ndarray:
+    i, j = np.triu_indices(n, 1)
+    c = rng.choice(SAATY, size=i.size) ** rng.choice([-1.0, 1.0], size=i.size)
+    values = np.ones((n, n))
+    values[i, j], values[j, i] = c, 1.0 / c
+    return values
+
+
+def record_eig(monkeypatch) -> list:
+    calls: list = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        calls.append(a)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+def passes_the_iteration_test(a: np.ndarray, lam: float, v: np.ndarray) -> bool:
+    error = np.abs(a @ v - lam * v)
+    within = error.max() <= 1e-12 * lam * v.max()
+    return bool(within and pcrank.linalg._settled(a, v, error, lam, 1e-12))
+
+
+class TestDirectEigensolve:
+    """Up to n = _EIG_MAX_N, power_iteration first tries one dense eigensolve."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, pcrank.linalg._EIG_MAX_N])
+    def test_one_eigensolve_and_no_noda_step(self, monkeypatch, n):
+        a = saaty_complete(n, np.random.default_rng(n))
+        eig_calls = record_eig(monkeypatch)
+        noda_calls = record_calls(monkeypatch, pcrank.linalg._Noda)
+        lam, v = power_iteration(a)
+        assert len(eig_calls) == 1 and noda_calls == []
+        assert passes_the_iteration_test(a, lam, v)
+        assert (v > 0).all() and v.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_eigensolve_above_the_cutoff(self, monkeypatch):
+        n = pcrank.linalg._EIG_MAX_N + 1
+        a = saaty_complete(n, np.random.default_rng(n))
+        eig_calls = record_eig(monkeypatch)
+        lam, v = power_iteration(a)
+        assert eig_calls == []
+        assert np.abs(a @ v - lam * v).max() <= 1e-12 * lam * v.max()
+
+    def test_unsettled_eigenvector_falls_back_to_the_iteration(self, monkeypatch):
+        a = build_harker(parse_matrix(WIDE_TEXT))
+        values, vectors = np.linalg.eig(a)
+        direct = vectors[:, values.real.argmax()].real
+        direct /= direct.sum()
+        rayleigh = (a @ direct).sum()
+        # positive and normal, and within the absolute test, but not entry by entry
+        assert direct.min() >= np.finfo(float).tiny
+        assert np.abs(a @ direct - rayleigh * direct).max() <= 1e-12 * rayleigh * direct.max()
+        assert not passes_the_iteration_test(a, rayleigh, direct)
+
+        monkeypatch.setattr(pcrank.linalg, "_EIG_MAX_N", 0)
+        iterated = power_iteration(a)
+        monkeypatch.undo()
+        eig_calls = record_eig(monkeypatch)
+        noda_calls = record_calls(monkeypatch, pcrank.linalg._Noda)
+        lam, v = power_iteration(a)
+        assert len(eig_calls) == 1 and len(noda_calls) == 1
+        assert lam == iterated[0] and np.array_equal(v, iterated[1])
+        assert passes_the_iteration_test(a, lam, v)
+
+    def test_one_by_one_zero_matrix_collapses(self):
+        # its eigenvector (1) is positive, but lam = 0 is no Perron root
+        with pytest.raises(SingularMatrixError, match="zero vector"):
+            power_iteration(np.zeros((1, 1)))

@@ -81,14 +81,14 @@ class TestLlsSystem:
         for k in range(n):
             system = build_lls_system(p, k)
             assert np.array_equal(system, np.delete(np.delete(lap, k, 0), k, 1))
-            shared = (build_lls_system(p, k), p.matrix.values, p.log_row_sums, p.rows, p.logs)
+            shared = (build_lls_system(p, k), p.matrix.values, p.rhs, p.rows, p.logs)
             assert system.flags.writeable and not any(np.shares_memory(system, a) for a in shared)
         for k in (-1, n):
             with pytest.raises(IndexError):
                 build_lls_system(p, k)
 
     def test_rhs_from_present_entries_only(self):
-        rhs = prepare(example4()).log_row_sums
+        rhs = prepare(example4()).rhs
         ln = np.log
         expected = np.array([ln(2), ln(3), ln(1 / 3) + ln(2), ln(1 / 2) + ln(1 / 2)])
         assert np.abs(rhs - expected).max() < 1e-15

@@ -614,14 +614,15 @@ class TestPrepare:
         m = example4()
         p = prepare(m)
         assert p.matrix.equals(m)
-        assert [f.name for f in dataclasses.fields(p)] == ["matrix", "log_row_sums", "rows", "cols", "logs"]
+        assert [f.name for f in dataclasses.fields(p)] == ["matrix", "rhs", "rows", "cols", "logs"]
         assert np.array_equal(build_system(p), laplacian(graph_of(m)) + 1.0)
         rows, cols = np.divmod(np.flatnonzero(~m.missing_mask), m.n)
         assert np.array_equal(p.rows, rows) and np.array_equal(p.cols, cols)
         assert np.array_equal(p.logs, np.log(m.values[rows, cols]))
-        # ln 2, ln 3, ln 1/3 + ln 2, ln 1/2 + ln 1/2 by row; the unit diagonal adds 0
-        assert np.allclose(p.log_row_sums, np.log([2, 3, 2 / 3, 1 / 4]), rtol=1e-14, atol=0)
-        for a in (p.log_row_sums, p.rows, p.cols, p.logs):
+        # ln 2, ln 3, ln 1/3 + ln 2, ln 1/2 + ln 1/2 by row, as the matrix is
+        # reciprocal; the unit diagonal adds 0
+        assert np.allclose(p.rhs, np.log([2, 3, 2 / 3, 1 / 4]), rtol=1e-14, atol=0)
+        for a in (p.rhs, p.rows, p.cols, p.logs):
             with pytest.raises(ValueError):
                 a[0, ...] = 5
         w = rank_gm(p).weights
@@ -630,7 +631,8 @@ class TestPrepare:
     @pytest.mark.parametrize("n, log_range", [(2, 1.0), (9, 2.2), (33, 40.0), (64, 700.0)])
     def test_logs_bit_for_bit(self, n, log_range):
         """The logs are the bits of np.log of the present values gathered in
-        row-major order, and their row sums agree with exact sums."""
+        row-major order, and the right-hand side agrees with exact half
+        differences of the row and column sums."""
         rng = np.random.default_rng(n)
         for p in (0.0, 0.5, 0.9):
             m = random_incomplete(n, rng, p, log_range)
@@ -639,8 +641,8 @@ class TestPrepare:
             assert np.array_equal(prepared.rows, rows) and np.array_equal(prepared.cols, cols)
             logs = np.log(m.values[rows, cols])
             assert prepared.logs.tobytes() == logs.tobytes()
-            sums = [math.fsum(logs[rows == i]) for i in range(n)]
-            assert np.allclose(prepared.log_row_sums, sums, rtol=1e-12, atol=1e-12 * log_range)
+            rhs = [math.fsum([*logs[rows == i], *-logs[cols == i]]) / 2 for i in range(n)]
+            assert np.allclose(prepared.rhs, rhs, rtol=1e-12, atol=1e-12 * log_range)
 
     def test_shares_the_matrix_mask(self):
         m = example4()
