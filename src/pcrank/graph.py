@@ -36,18 +36,24 @@ def connected_components(adj: np.ndarray) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member.
 
     Frontier breadth-first search: each vertex enters a frontier once, so
-    the rows scanned total n and the work is O(n^2).
+    the rows scanned total n and the work is O(n^2).  A search ends when its
+    frontier is empty or its component holds every vertex not yet assigned,
+    so a connected graph takes no last, empty level.
     """
     unseen = np.ones(adj.shape[0], dtype=bool)
+    left = unseen.size
     components = []
-    while unseen.any():
+    while left:
         comp = np.zeros_like(unseen)
         comp[np.argmax(unseen)] = True
-        frontier = comp.copy()
-        while frontier.any():
+        frontier, size, found = comp, 1, 1
+        while found and size < left:
             frontier = adj[frontier].any(axis=0) & ~comp
+            found = np.count_nonzero(frontier)
             comp |= frontier
+            size += found
         unseen &= ~comp
+        left -= size
         components.append(np.flatnonzero(comp).tolist())
     return components
 

@@ -64,7 +64,7 @@ def _solve_harker(p: Problem) -> tuple[np.ndarray, dict]:
     ``eigen_residual`` max|B @ v - lambda_max * v|, from one build of B."""
     a = build_harker(p)
     shift = float(np.diag(a).min()) - 1.0  # min s_i, exact: the diagonal holds integers
-    a[np.diag_indices_from(a)] -= shift
+    a.flat[:: a.shape[0] + 1] -= shift
     _, v = power_iteration(a)
     av = a @ v
     lam = float(av.sum())

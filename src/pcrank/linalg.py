@@ -87,10 +87,12 @@ def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     starts = range(0, x.size, _BLOCK)
     for s in starts:  # low @ y = rhs, top block first; y overwrites x
         e = s + _BLOCK
-        x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e] - low[s:e, :s] @ x[:s])
+        b = x[s:e] - low[s:e, :s] @ x[:s] if s else x[s:e]  # the top block has no update
+        x[s:e] = np.linalg.solve(low[s:e, s:e], b)
     for s in reversed(starts):  # low.T @ x = y, bottom block first
         e = s + _BLOCK
-        x[s:e] = np.linalg.solve(low[s:e, s:e].T, x[s:e] - low[e:, s:e].T @ x[e:])
+        b = x[s:e] - low[e:, s:e].T @ x[e:] if e < x.size else x[s:e]  # nor the bottom one
+        x[s:e] = np.linalg.solve(low[s:e, s:e].T, b)
     return x
 
 
@@ -196,7 +198,8 @@ def _settled(a: np.ndarray, v: np.ndarray, error: np.ndarray, lam: float, tol: f
     subnormal spacing, so each may add that spacing times its column of a
     (and lam its own) to the error of every entry it feeds.
     """
-    slack = (a @ (v < _TINY) + lam) * (v.size * _SUBNORMAL)
+    below = v < _TINY
+    slack = ((a @ below + lam) if below.any() else lam) * (v.size * _SUBNORMAL)
     return bool((error <= tol * lam * v + slack).all())
 
 

@@ -51,8 +51,9 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
 
 
 def _solve_lls(p: Problem, anchor: int = 0) -> tuple[np.ndarray, dict]:
-    x = solve(build_lls_system(p, anchor), np.delete(p.rhs, anchor))
-    return _from_log_weights(p, np.insert(x, anchor, 0.0))
+    a = anchor
+    x = solve(build_lls_system(p, a), np.concatenate((p.rhs[:a], p.rhs[a + 1 :])))
+    return _from_log_weights(p, np.concatenate((x[:a], [0.0], x[a:])))
 
 
 def rank_lls(

@@ -378,8 +378,9 @@ def validate(
     flat, rows, cols = flat[off_diagonal], rows[off_diagonal], cols[off_diagonal]
     given, mirror = v.take(flat), v.take(cols * n + rows)
     bad = ~np.isfinite(given) | (given <= 0)
-    for i, j, x in zip(rows[bad].tolist(), cols[bad].tolist(), given[bad].tolist()):
-        violations.append(Violation(NON_POSITIVE, i, j, f"got {x:g}"))
+    if bad.any():
+        for i, j, x in zip(rows[bad].tolist(), cols[bad].tolist(), given[bad].tolist()):
+            violations.append(Violation(NON_POSITIVE, i, j, f"got {x:g}"))
 
     # Each pair once: at its one present entry, or at its entry above the diagonal.
     one_sided = np.isnan(mirror)
@@ -388,14 +389,16 @@ def validate(
         error -= 1.0
         np.abs(error, out=error)
         flagged = np.flatnonzero(one_sided | (rows < cols) & ~(error <= tol))
-    r, c = rows[flagged], cols[flagged]
-    flagged = flagged[np.argsort(np.minimum(r, c) * n + np.maximum(r, c))]
-    for i, j, k in zip(rows[flagged].tolist(), cols[flagged].tolist(), flagged.tolist()):
-        if one_sided[k]:
-            detail = f"c[{i + 1},{j + 1}] given but c[{j + 1},{i + 1}] missing"
-            violations.append(Violation(ASYMMETRIC_MISSINGNESS, min(i, j), max(i, j), detail))
-        else:
-            violations.append(Violation(NON_RECIPROCAL, i, j, f"{given[k]:g} * {mirror[k]:g} != 1"))
+    if flagged.size:  # listed in the row-major order of each pair's upper position
+        r, c = rows[flagged], cols[flagged]
+        flagged = flagged[np.argsort(np.minimum(r, c) * n + np.maximum(r, c))]
+        for i, j, k in zip(rows[flagged].tolist(), cols[flagged].tolist(), flagged.tolist()):
+            if one_sided[k]:
+                detail = f"c[{i + 1},{j + 1}] given but c[{j + 1},{i + 1}] missing"
+                violations.append(Violation(ASYMMETRIC_MISSINGNESS, min(i, j), max(i, j), detail))
+            else:
+                detail = f"{given[k]:g} * {mirror[k]:g} != 1"
+                violations.append(Violation(NON_RECIPROCAL, i, j, detail))
 
     for i in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist():
         violations.append(Violation(ROW_ALL_MISSING, i, i, "no comparisons in this row"))
@@ -481,9 +484,14 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
 def repair_reciprocal(m: PCMatrix) -> PCMatrix:
     """Fill each one-sided missing entry with the reciprocal of its partner.
 
-    Returns a new matrix; pairs that are missing on both sides stay missing.
+    Returns a new matrix; pairs that are missing on both sides stay missing,
+    and so does an entry whose partner's reciprocal is not a positive finite
+    double (the partner 5e-324, say, whose reciprocal overflows), so
+    :func:`validate` reports the pair as it would without the repair.
     """
     v = m.values.copy()
     one_sided = m.missing_mask & ~m.missing_mask.T
-    v[one_sided] = 1.0 / v.T[one_sided]
+    with np.errstate(over="ignore", divide="ignore"):  # kept missing below
+        fill = 1.0 / v.T[one_sided]
+    v[one_sided] = np.where((fill > 0) & (fill < math.inf), fill, MISSING)
     return _adopt(v, m.labels)

@@ -10,7 +10,8 @@ when the command line's output is meant to change:
 With ``--diff`` it writes nothing and lists each run whose exit code, stdout
 or stderr differs from the corpus, byte for byte, with the largest absolute
 and relative change among the run's numbers, or a note that more than its
-numbers changed:
+numbers changed.  It exits 1 when any run differs and prints "no run
+differs" and exits 0 otherwise:
 
     PYTHONPATH=src python tests/make_cli_golden.py --diff
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,12 +239,18 @@ def diff_golden() -> list[str]:
     return changed
 
 
-if __name__ == "__main__":
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Write or check the golden CLI corpus.")
     parser.add_argument(
         "--diff", action="store_true", help="write nothing; list the runs that differ"
     )
-    if parser.parse_args().diff:
-        print("\n".join(diff_golden()) or "no run differs")
-    else:
+    if not parser.parse_args(argv).diff:
         write_golden()
+        return 0
+    changed = diff_golden()
+    print("\n".join(changed) or "no run differs")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -183,6 +183,16 @@ class TestValidate:
         assert main(["validate", "--repair-reciprocal", path]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["validate"], ["rank"], ["compare"]])
+    def test_repair_keeps_an_unrepresentable_reciprocal_missing(self, command):
+        # 1 / 5e-324 overflows: the entry stays missing, so the flag changes
+        # nothing, where it used to warn and report a NonPositive inf.
+        text = "1,?\n5e-324,1\n"
+        repaired = run_cli([*command, "--repair-reciprocal"], text)
+        assert repaired == run_cli(command, text)
+        assert repaired["exit"] == 1
+        assert "AsymmetricMissingness (1,2)" in repaired["stdout"] + repaired["stderr"]
+
     def test_structured_violations(self, tmp_path, capsys):
         path = write(tmp_path, "1,2\n3,1\n")
         assert main(["validate", "--format", "structured", path]) == 1

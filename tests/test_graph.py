@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,17 @@ def adjacency(n, edges):
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
     return adj
+
+
+def union_find_components(n, edges):
+    """Components from the union-find oracle, in connected_components' order."""
+    uf = UnionFind(n)
+    for a, b in edges:
+        uf.union(a, b)
+    groups = {}
+    for x in range(n):
+        groups.setdefault(uf.find(x), []).append(x)
+    return sorted(groups.values())
 
 
 def edges_of(adj):
@@ -132,13 +144,20 @@ class TestConnectivity:
         edges = data.draw(st.sets(st.sampled_from(all_pairs)) if all_pairs else st.just(set()))
         adj = adjacency(n, edges)
         assert is_connected(adj) == connected_by_union_find(n, edges)
-        uf = UnionFind(n)
-        for a, b in edges:
-            uf.union(a, b)
-        groups = {}
-        for x in range(n):
-            groups.setdefault(uf.find(x), []).append(x)
-        assert connected_components(adj) == sorted(groups.values())
+        assert connected_components(adj) == union_find_components(n, edges)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (200, [(k, k + 1) for k in range(199)]),  # a path: one vertex per level
+            (12, [(0, 5), (5, 9), *((k, k + 1) for k in (1, 2, 3, 6, 7, 10)), (4, 6), (8, 10)]),
+            (9, [(i, j) for i in range(8) for j in range(i + 1, 8) if (i + j) % 3]),
+        ],
+        ids=["path-200", "second-is-the-rest", "last-isolated"],
+    )
+    def test_searches_that_end_early(self, n, edges):
+        # Each search stops once its component holds every vertex left.
+        assert connected_components(adjacency(n, edges)) == union_find_components(n, edges)
 
     def test_union_find_matches_on_pc_matrices(self):
         rng = np.random.default_rng(21)

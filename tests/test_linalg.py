@@ -86,6 +86,23 @@ class TestSolve:
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
         assert np.abs(a @ x - rhs).max() <= 1e-12 * np.abs(a).max() * np.abs(x).max()
 
+    @pytest.mark.parametrize("n", [3, pcrank.linalg._BLOCK, 2 * pcrank.linalg._BLOCK + 1])
+    def test_skipped_updates_are_bit_identical(self, n):
+        # The top forward and the bottom backward block have no update; the
+        # reference still multiplies by their empty off-diagonal blocks.
+        rng = np.random.default_rng(n)
+        r = rng.normal(size=(n, n))
+        a = r @ r.T + n * np.eye(n)
+        rhs = rng.normal(size=n)
+        low, x, size = np.linalg.cholesky(a.T), rhs.copy(), pcrank.linalg._BLOCK
+        for s in range(0, n, size):
+            e = s + size
+            x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e] - low[s:e, :s] @ x[:s])
+        for s in reversed(range(0, n, size)):
+            e = s + size
+            x[s:e] = np.linalg.solve(low[s:e, s:e].T, x[s:e] - low[e:, s:e].T @ x[e:])
+        assert solve(a, rhs).tobytes() == x.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["matrix", "rhs"])
     def test_non_finite_input_raises(self, bad, where):

@@ -14,7 +14,12 @@ from pcrank import (
     s_star,
 )
 
-from helpers import CHAIN_TEXT, EXAMPLE4_WEIGHTS, example4, random_incomplete
+import pcrank.lls
+from pcrank.gm import _from_log_weights
+from pcrank.linalg import solve
+from pcrank.lls import _solve_lls
+
+from helpers import CHAIN_TEXT, EXAMPLE4_WEIGHTS, example4, random_incomplete, record_calls
 
 
 class TestRankLls:
@@ -92,6 +97,20 @@ class TestLlsSystem:
         ln = np.log
         expected = np.array([ln(2), ln(3), ln(1 / 3) + ln(2), ln(1 / 2) + ln(1 / 2)])
         assert np.abs(rhs - expected).max() < 1e-15
+
+
+@pytest.mark.parametrize("anchor", [0, 4, 8])
+def test_anchor_slicing_is_bit_identical(monkeypatch, anchor):
+    # The right-hand side without entry ``anchor`` and the solution with a 0
+    # put back there, as np.delete and np.insert build them.
+    p = prepare(random_incomplete(9, np.random.default_rng(15)))
+    x = np.insert(solve(build_lls_system(p, anchor), np.delete(p.rhs, anchor)), anchor, 0.0)
+    want = _from_log_weights(p, x)
+    calls = record_calls(monkeypatch, pcrank.lls._from_log_weights)
+    w, diagnostics = _solve_lls(p, anchor)
+    assert calls[0][1][anchor] == 0.0
+    assert calls[0][1].tobytes() == x.tobytes()
+    assert w.tobytes() == want[0].tobytes() and diagnostics == want[1]
 
 
 @pytest.mark.parametrize("anchor", [0, 3])

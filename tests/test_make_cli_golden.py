@@ -1,9 +1,11 @@
-"""The size report of ``make_cli_golden.py --diff`` on hand-made outputs."""
+"""``make_cli_golden.py --diff``: its size report on hand-made outputs, and
+its exit code."""
 
 import json
 
 import pytest
 
+import make_cli_golden
 from make_cli_golden import largest_change
 
 
@@ -45,3 +47,18 @@ def test_more_than_numbers(want, got, structured):
 
 def test_exit_code():
     assert largest_change(run("1\n"), run("", 1, "error\n"), False) == "exit code differs"
+
+
+@pytest.mark.parametrize(
+    "changed, code, out",
+    [
+        ([], 0, "no run differs\n"),
+        (["a: rank (stdout)", "b: compare (exit)"], 1, "a: rank (stdout)\nb: compare (exit)\n"),
+    ],
+    ids=["none-differs", "some-differ"],
+)
+def test_diff_exit_code(monkeypatch, capsys, changed, code, out):
+    monkeypatch.setattr(make_cli_golden, "diff_golden", lambda: changed)
+    monkeypatch.setattr(make_cli_golden, "write_golden", pytest.fail)
+    assert make_cli_golden.main(["--diff"]) == code
+    assert capsys.readouterr().out == out

@@ -474,22 +474,26 @@ def test_validate_matches_loop_reference_on_sparse_matrices(data):
 
 
 def repair_by_loops(m):
-    """Pair-by-pair reference for :func:`repair_reciprocal`."""
-    v = m.values.copy()
+    """Pair-by-pair reference for :func:`repair_reciprocal`: a one-sided entry
+    takes its partner's reciprocal when that is a positive finite double."""
+    v = m.values.tolist()
     for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if np.isnan(v[i, j]) and not np.isnan(v[j, i]):
-                v[i, j] = 1.0 / v[j, i]
-            elif np.isnan(v[j, i]) and not np.isnan(v[i, j]):
-                v[j, i] = 1.0 / v[i, j]
-    return PCMatrix(v, m.labels)
+        for j in range(m.n):
+            if math.isnan(v[i][j]) and not math.isnan(v[j][i]):
+                try:
+                    fill = 1.0 / v[j][i]
+                except ZeroDivisionError:
+                    continue
+                if 0.0 < fill < math.inf:
+                    v[i][j] = fill
+    return PCMatrix(np.array(v), m.labels)
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_repair_matches_loop_reference(data):
     n = data.draw(st.integers(2, 7))
-    entries = st.sampled_from([x for x in SPECIAL if x != 0.0] + [0.5, 3.0])  # 1/0 warns
+    entries = st.sampled_from(SPECIAL + [0.5, 3.0, 5e-324])  # 1 / 5e-324 overflows
     m = PCMatrix(np.array([[data.draw(entries) for _ in range(n)] for _ in range(n)]))
     assert repair_reciprocal(m).equals(repair_by_loops(m))
 

@@ -8,10 +8,10 @@ come from the test's own generator and reach pcrank only as text through the
 command line, so a defect in parsing, the Laplacian, the logarithms or the
 solve cannot cancel out as it could between GM and LLS.
 
-An edge {i, j} carries 0.5 * (ln c_ij - ln c_ji).  On decimals that are
-reciprocal only within tolerance this differs from the row sums the methods
-solve with by half the rows' reciprocity defects, below 1e-11 for 12-digit
-decimals, so the bound below still applies.
+An edge {i, j} carries 0.5 * (ln c_ij - ln c_ji), the per-pair value the
+methods' right-hand side sums over each row, so on decimals that are
+reciprocal only within tolerance the oracle and the methods fit the same
+log ratios, and the bound below applies as it does to exact fractions.
 """
 
 import itertools
