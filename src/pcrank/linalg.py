@@ -237,7 +237,9 @@ class _Noda:
         first takes the value av_i / floor >= av_i / lam.  If that is still
         below the normal range, so is the eigenvector's entry next to the
         others, and the step raises as :func:`power_iteration` does for a zero
-        entry.
+        entry.  If a v / v still overflows, v is too far off scale for any
+        shift, and the step starts from the uniform vector instead, keeping
+        ``floor``; a power step would leave v as far off scale.
         """
         a = self.a
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -250,6 +252,9 @@ class _Noda:
                     raise _zero_entry_error(a)
                 av = a @ v
                 ratios = av / v
+            if not ratios.max() < math.inf:
+                v = np.full(v.size, 1.0 / v.size)
+                ratios = a @ v / v
             sigma = float(ratios.max())
             if not sigma < math.inf:
                 return None

@@ -36,7 +36,6 @@ __all__ = [
     "serialize_matrix",
     "validate",
     "repair_reciprocal",
-    "require_valid",
     "default_labels",
     "Problem",
     "prepare",
@@ -353,9 +352,7 @@ def serialize_matrix(m: PCMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate(
-    m: PCMatrix, tol: float = DEFAULT_TOL, *, _graph: np.ndarray | None = None, _present=None
-) -> ValidationReport:
+def validate(m: PCMatrix, tol: float = DEFAULT_TOL, *, _present=None) -> ValidationReport:
     """Check diagonal, positivity, reciprocity, missingness symmetry, and
     connectivity.  Nothing is raised; every problem is reported.
 
@@ -363,9 +360,9 @@ def validate(
     Violations are listed by kind in the order above, each kind in row-major
     order of its positions (a pair's upper one).  Past the diagonal and the
     graph, only present entries and their mirrors are read.  :func:`prepare`
-    passes the adjacency and the edge list (see :func:`_edges`) it has found."""
+    passes the edge list (see :func:`_edges`) it has found."""
     v, n = m.values, m.n
-    adj = graph_of(m) if _graph is None else _graph
+    adj = graph_of(m)
     flat, rows, cols = _edges(m.missing_mask) if _present is None else _present
     violations: list[Violation] = []
 
@@ -412,23 +409,6 @@ def validate(
     return ValidationReport(not violations, tuple(violations), int(adj.sum()) // 2, math.comb(n, 2))
 
 
-def require_valid(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Validate and raise when invalid.
-
-    Raises DisconnectedGraphError when connectivity is the only problem,
-    InvalidMatrixError otherwise; both carry the full report.
-    """
-    return _raise_if_invalid(validate(m, tol))
-
-
-def _raise_if_invalid(report: ValidationReport) -> ValidationReport:
-    if report.ok:
-        return report
-    if report.kinds() <= _CONNECTIVITY_KINDS:
-        raise DisconnectedGraphError(report)
-    raise InvalidMatrixError(report)
-
-
 def _edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices, rows and columns of the entries where ``mask`` is False,
     in row-major order: the present comparisons of a missing mask, diagonal
@@ -463,13 +443,18 @@ class Problem:
 def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     """Validate once and assemble what GM, LLS and Harker all need.
 
-    A Problem is returned unchanged.  Raises DisconnectedGraphError /
-    InvalidMatrixError exactly as :func:`require_valid` does.
+    A Problem is returned unchanged.  Raises DisconnectedGraphError when
+    connectivity is the only problem :func:`validate` reports,
+    InvalidMatrixError otherwise; both carry the full report.
     """
     if isinstance(m, Problem):
         return m
     edges = _edges(m.missing_mask)
-    _raise_if_invalid(validate(m, tol, _graph=graph_of(m), _present=edges))
+    report = validate(m, tol, _present=edges)
+    if not report.ok:
+        if report.kinds() <= _CONNECTIVITY_KINDS:
+            raise DisconnectedGraphError(report)
+        raise InvalidMatrixError(report)
     flat, rows, cols = edges
     logs = np.log(m.values.take(flat))
     rhs = np.bincount(rows, logs, m.n)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import pcrank.gm
 from pcrank import (
     DisconnectedGraphError,
     InvalidMatrixError,
+    SingularMatrixError,
     UnrepresentableWeightsError,
     build_system,
     complete_matrix,
@@ -181,3 +183,13 @@ def test_tolerance_is_set_by_prepare():
     assert rank_gm(m).n == 2
     with pytest.raises(InvalidMatrixError):
         rank_gm(prepare(m, tol=0.0))
+
+
+def test_singular_system_on_valid_input_is_an_internal_error(monkeypatch):
+    def singular(a, rhs):
+        raise SingularMatrixError("pivot below singularity threshold")
+
+    monkeypatch.setattr(pcrank.gm, "solve", singular)
+    with pytest.raises(RuntimeError, match="singular geometric-mean system") as exc:
+        rank_gm(example4())
+    assert isinstance(exc.value.__cause__, SingularMatrixError)

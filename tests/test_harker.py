@@ -112,6 +112,26 @@ def test_wide_log_ratios_converge():
         assert ratios.min() >= lam * (1 - 1e-10) and ratios.max() <= lam * (1 + 1e-10)
 
 
+#: The Perron vector, summing to 1, and the Perron root of B for
+#: ``random_incomplete(8, default_rng(20), 0.4, 700.0)``, from mpmath's
+#: eigensolver at 1500 digits.  The vector spans 1e-292: it fits in a double.
+WIDE_PERRON = np.array([
+    5.5689234569594011e-293, 4.8523964784794684e-6, 1.7391329206700146e-148,
+    2.9284031965348003e-277, 1.1223455271054167e-29, 6.1462028752639749e-214,
+    9.3435887177011741e-186, 0.99999514760352152,
+])
+WIDE_LAMBDA = 1.6736737918156516e153
+
+
+def test_noda_bound_overflowing_after_the_power_steps():
+    # After the power steps max(B v / v) overflows, and each power step taken
+    # instead of a Noda step leaves v as far off scale.
+    m = random_incomplete(8, np.random.default_rng(20), 0.4, 700.0)
+    assert np.abs(rank_harker(m).weights / WIDE_PERRON - 1.0).max() <= 1e-9
+    _, diagnostics = _solve_harker(prepare(m))
+    assert diagnostics["lambda_max"] == pytest.approx(WIDE_LAMBDA, rel=1e-12, abs=0)
+
+
 def test_underflowing_eigenvector_raises_typed_error():
     # valid and connected, but the eigenvector spans 1e600: its tail underflows to 0
     with pytest.raises(UnrepresentableWeightsError):

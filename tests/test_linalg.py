@@ -13,7 +13,7 @@ from pcrank import (
     solve,
 )
 
-from helpers import consistent_complete, random_complete, record_calls
+from helpers import consistent_complete, random_complete, random_incomplete, record_calls
 
 LN2, LN3 = math.log(2.0), math.log(3.0)
 
@@ -280,7 +280,49 @@ class TestDirectEigensolve:
         assert lam == iterated[0] and np.array_equal(v, iterated[1])
         assert passes_the_iteration_test(a, lam, v)
 
+    def test_failed_eigensolve_falls_back_to_the_iteration(self, monkeypatch):
+        a = saaty_complete(8, np.random.default_rng(8))
+        monkeypatch.setattr(pcrank.linalg, "_EIG_MAX_N", 0)
+        iterated = power_iteration(a)
+        monkeypatch.undo()
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        lam, v = power_iteration(a)
+        assert lam == iterated[0] and np.array_equal(v, iterated[1])
+
     def test_one_by_one_zero_matrix_collapses(self):
         # its eigenvector (1) is positive, but lam = 0 is no Perron root
         with pytest.raises(SingularMatrixError, match="zero vector"):
             power_iteration(np.zeros((1, 1)))
+
+
+def iterated_harker(n: int, seed: int, log_range: float) -> np.ndarray:
+    """B - mu I of ``random_incomplete(n, default_rng(seed), 0.4, log_range)``:
+    the matrix that rank_harker iterates on."""
+    a = build_harker(random_incomplete(n, np.random.default_rng(seed), 0.4, log_range))
+    np.fill_diagonal(a, np.diag(a) - np.diag(a).min() + 1.0)
+    return a
+
+
+class TestNodaSafeguards:
+    def test_trial_shift_saves_solves(self, monkeypatch):
+        # Without the trial shift sqrt(floor * sigma) this matrix takes 183
+        # solves, with it 10.
+        a = iterated_harker(10, 20, 300.0)
+        calls = record_calls(monkeypatch, pcrank.linalg._shifted_solve)
+        power_iteration(a)
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("n, seed, log_range", [(10, 25, 300.0), (6, 11, 700.0)])
+    def test_power_step_after_a_failed_noda_step(self, n, seed, log_range):
+        # Some Noda step on each of these cannot be taken in floating point.
+        a = iterated_harker(n, seed, log_range)
+        lam, v = power_iteration(a)
+        assert passes_the_iteration_test(a, lam, v)
+
+    def test_singular_shifted_system_gives_no_step(self):
+        # (1 I - (1)) y = 1 is exactly singular
+        assert pcrank.linalg._shifted_solve(np.array([[1.0]]), np.array([1.0]), 1.0) is None

@@ -26,7 +26,6 @@ from pcrank import (
     rank_harker,
     rank_lls,
     repair_reciprocal,
-    require_valid,
     s_star,
     serialize_matrix,
     validate,
@@ -599,19 +598,6 @@ class TestValidate:
             warnings.simplefilter("error")
             validate(PCMatrix(GOLDEN_VALUES))
 
-    def test_require_valid_passes_good_matrix(self):
-        assert require_valid(example4()).ok
-
-    def test_require_valid_distinguishes_disconnection(self):
-        disconnected = parse_matrix("1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n")
-        with pytest.raises(DisconnectedGraphError):
-            require_valid(disconnected)
-        non_reciprocal = parse_matrix("1,2\n3,1\n")
-        with pytest.raises(InvalidMatrixError) as exc:
-            require_valid(non_reciprocal)
-        assert not isinstance(exc.value, DisconnectedGraphError)
-        assert exc.value.report.violations
-
 
 class TestPrepare:
     def test_shared_arrays(self):
@@ -652,12 +638,17 @@ class TestPrepare:
         m = example4()
         assert prepare(m).matrix.missing_mask is m.missing_mask
 
-    def test_raises_like_require_valid(self):
-        with pytest.raises(DisconnectedGraphError):
-            prepare(parse_matrix("1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"))
+    def test_raises_typed_error_with_full_report(self):
+        disconnected = parse_matrix("1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n")
+        with pytest.raises(DisconnectedGraphError) as exc:
+            prepare(disconnected)
+        assert exc.value.report == validate(disconnected)
+        non_reciprocal = parse_matrix("1,2\n3,1\n")
         with pytest.raises(InvalidMatrixError) as exc:
-            prepare(parse_matrix("1,2\n3,1\n"))
+            prepare(non_reciprocal)
         assert not isinstance(exc.value, DisconnectedGraphError)
+        assert exc.value.report.violations
+        assert exc.value.report == validate(non_reciprocal)
 
     def test_validates_once_for_every_method(self, monkeypatch):
         calls = record_calls(monkeypatch, validate)

@@ -6,6 +6,7 @@ import pytest
 from pcrank import (
     IncompleteMatrixError,
     PCMatrix,
+    PriorityVector,
     UnrepresentableWeightsError,
     compare_rankings,
     complete_matrix,
@@ -206,3 +207,16 @@ class TestNormalize:
     def test_unknown_normalization(self):
         with pytest.raises(ValueError):
             normalize(np.array([1.0, 2.0]), "median")
+
+    @pytest.mark.parametrize(
+        "weights, normalization, message",
+        [
+            ([[0.5, 0.5]], "sum", "1-d"),
+            ([0.25, 0.5], "sum", "sum to 1"),
+            ([0.5, 0.75], "max", "peak at 1"),
+        ],
+        ids=["not-1d", "sum-not-1", "max-not-1"],
+    )
+    def test_priority_vector_rejections(self, weights, normalization, message):
+        with pytest.raises(ValueError, match=message):
+            PriorityVector(np.array(weights), normalization)
