@@ -336,20 +336,152 @@ def parse_matrix(text: str) -> PCMatrix:
     return _adopt(values, tuple(labels) if labels else ())
 
 
+#: Fewest entries for which :func:`serialize_matrix` renders in bulk.  On
+#: completed random matrices, best of 7 timings in each of 3 processes on a
+#: 2-core x86-64 VM, the bulk renderer took 150-180 against 29-31 us per call
+#: at n = 6, 211-232 against 195-209 us at n = 16, 191-265 against 296-324 us
+#: at n = 20, and 15-18 against 67-72 ms at n = 300.
+_BULK_MIN_ENTRIES = 20 * 20
+
+#: Entries per block of the bulk renderer, which bounds its temporaries.
+_BULK_BLOCK = 8192
+
+#: ``"%.17g"`` writes x in [1e-4, 1e17) in fixed notation.  Below 2**50, x is
+#: m * 2**e2 with m < 2**53 and x * 10**(16 - E) = m * 5**(16 - E) shifted
+#: right by 1 to 46 bits, for E = floor(log10 x) in [-4, 15].
+_BULK_RANGE = (1e-4, 2.0**50)
+
+_U64 = np.uint64
+#: 5**k for every k = 16 - E that a first, float estimate of E can give.
+_POW5 = np.array([5**k for k in range(22)], dtype=_U64)
+#: The four ASCII digits of each of 0..9999 as one uint32, and the count of
+#: their trailing zeros (4 for 0); built by numpy arithmetic, in about 0.3 ms.
+_ASCII4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS4 = _ASCII4.reshape(-1, 4).view(np.uint32)[:, 0]
+_zero = _ASCII4.reshape(-1, 4) == ord("0")
+_ZEROS4 = _zero[:, 3] * (1 + _zero[:, 2] * (1 + _zero[:, 1] * (1 + _zero[:, 0])))
+del _ASCII4, _zero
+#: Row k is True in columns 0 to k: the bytes of a field whose separator is
+#: in column k.
+_UPTO = np.arange(25) <= np.arange(25)[:, None]
+
+
+def _scaled(m: np.ndarray, e2: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For x = m * 2**(e2 - 1075) (uint64 m < 2**53, e2 the biased exponent)
+    and a decimal exponent e: T = floor(x * 10**(16 - e)), the bits of the
+    product below T, and how many bits those are.
+
+    m * 5**(16 - e) needs up to 102 bits, so it is built in two uint64 halves
+    from four 32 x 32-bit partial products.  Every operand stays uint64.
+    """
+    mask, w = _U64(0xFFFFFFFF), _U64(32)
+    p = _POW5.take(16 - e)
+    ml, mh, pl, ph = m & mask, m >> w, p & mask, p >> w
+    low = ml * pl
+    mid = ml * ph + mh * pl + (low >> w)
+    lo = (mid << w) | (low & mask)
+    hi = mh * ph + (mid >> w)
+    shift = _U64(1075) - e2 - (16 - e).astype(_U64)
+    t = (lo >> shift) | (hi << (_U64(64) - shift))
+    return t, lo & ((_U64(1) << shift) - _U64(1)), shift
+
+
+def _render_rows(v: np.ndarray) -> bytes:
+    """The rows of ``v`` in the text format, byte for byte as ``"%.17g"``
+    writes each entry and ``?`` for NaN.
+
+    Entries in _BULK_RANGE get their 17 digits N = x * 10**(16 - E), rounded
+    half to even, from exact integer arithmetic (:func:`_scaled`), as exact
+    float printers do; every other entry is formatted by ``"%.17g"``.  Each
+    field fills the start of one 25-byte row, and one boolean compress keeps
+    each field and the separator written just past it.
+    """
+    n = v.shape[1]
+    v = v.ravel()
+    fast = (v >= _BULK_RANGE[0]) & (v < _BULK_RANGE[1])
+    x = np.where(fast, v, 1.0)  # the others' digits are computed and not used
+    bits = x.view(_U64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    e2 = bits >> _U64(52)
+    e = np.floor(np.log10(x)).astype(np.intp)
+    t, rest, shift = _scaled(m, e2, e)
+    # log10 can round across a power of ten; T alone tells which way.
+    off = (t >= _U64(10**17)).astype(np.intp) - (t < _U64(10**16))
+    wrong = np.flatnonzero(off)
+    if wrong.size:
+        e[wrong] += off[wrong]
+        t[wrong], rest[wrong], shift[wrong] = _scaled(m[wrong], e2[wrong], e[wrong])
+    half = _U64(1) << (shift - _U64(1))
+    t += (rest > half) | ((rest == half) & (t & _U64(1) == _U64(1)))
+    # Rounding cannot carry N to 10**17: no double in _BULK_RANGE lies within
+    # half a unit of the 17th digit below a power of ten.
+
+    groups = np.empty((v.size, 5), np.intp)  # N in five groups of 4 digits, "000d" first
+    for col in range(4, 0, -1):
+        q = t // _U64(10_000)
+        groups[:, col] = t - q * _U64(10_000)
+        t = q
+    groups[:, 0] = t
+    zeros = _ZEROS4.take(groups[:, 4])  # trailing zeros of N
+    lower_zero = zeros == 4
+    for col in range(3, 0, -1):
+        zeros += lower_zero * _ZEROS4.take(groups[:, col])
+        lower_zero &= groups[:, col] == 0
+    # The column after each field: past its last nonzero digit, or before the
+    # point when no digit after it is nonzero.
+    end = np.where(zeros < 16 - e, 18 - np.minimum(e, 0) - zeros, e + 1)
+
+    # Fields are laid out sorted by E, each E's with column slices, and the
+    # entries outside _BULK_RANGE last.
+    key = np.where(fast, e, 16).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    digits = _DIGITS4.take(groups.take(order, axis=0)).view(np.uint8)  # N's 17 digits at 3:
+    lay = np.empty((v.size, 25), np.uint8)
+    a = 0
+    for ev, count in enumerate(np.bincount(key + 4).tolist(), -4):
+        if not count:
+            continue
+        b, d = a + count, digits[a : a + count]
+        if ev == 16:
+            # "%.17g" renders NaN, and only NaN, as text containing "nan".
+            slow = order[a:b]
+            text = ["?" if s == "nan" else s for s in map("%.17g".__mod__, v[slow].tolist())]
+            lay[a:b] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
+            end[slow] = list(map(len, text))
+        elif ev >= 0:
+            lay[a:b, : ev + 1] = d[:, 3 : ev + 4]
+            lay[a:b, ev + 1] = ord(".")
+            lay[a:b, ev + 2 : 18] = d[:, ev + 4 :]
+        else:
+            lay[a:b, : 1 - ev] = np.frombuffer(b"0.000", np.uint8)[: 1 - ev]
+            lay[a:b, 1 - ev : 18 - ev] = d[:, 3:]
+        a = b
+    buf = np.empty_like(lay)
+    buf.view("V25")[order] = lay.view("V25")
+
+    flat, starts = buf.ravel(), np.arange(0, buf.size, 25)
+    flat[starts + end] = ord(",")
+    flat[starts[n - 1 :: n] + end[n - 1 :: n]] = ord("\n")
+    return flat[_UPTO.take(end, axis=0).ravel()].tobytes()
+
+
 def serialize_matrix(m: PCMatrix) -> str:
     """Render a matrix in the text format; parse_matrix inverts it exactly.
 
     Numbers are written with 17 significant digits, enough for a lossless
-    float round trip; missing entries are written as ``?``.
+    float round trip; missing entries are written as ``?``.  Every field is
+    exactly what ``"%.17g"`` writes.  Matrices of _BULK_MIN_ENTRIES entries or
+    more are rendered in bulk, blocks of rows at a time, with each entry in
+    [1e-4, 2**50) printed by exact integer arithmetic (:func:`_render_rows`).
     """
-    lines = []
-    if m.labels != default_labels(m.n):
-        lines.append("# labels: " + ",".join(m.labels))
-    # "%.17g" renders NaN, and only NaN, as text containing "nan".
-    row_format = ",".join(["%.17g"] * m.n)
-    for row in m.values.tolist():
-        lines.append((row_format % tuple(row)).replace("nan", "?"))
-    return "\n".join(lines) + "\n"
+    head ="" if m.labels == default_labels(m.n) else "# labels: " + ",".join(m.labels) + "\n"
+    if m.values.size < _BULK_MIN_ENTRIES:
+        row_format = ",".join(["%.17g"] * m.n) + "\n"
+        # "%.17g" renders NaN, and only NaN, as text containing "nan".
+        return head + "".join(row_format % tuple(row) for row in m.values.tolist()).replace("nan", "?")
+    step = max(_BULK_BLOCK // m.n, 1)
+    blocks = (_render_rows(m.values[i : i + step]) for i in range(0, m.n, step))
+    return head + b"".join(blocks).decode("ascii")
 
 
 def validate(m: PCMatrix, tol: float = DEFAULT_TOL, *, _present=None) -> ValidationReport:

@@ -72,7 +72,11 @@ def ordinal_ranking(w: PriorityVector | np.ndarray) -> tuple[tuple[int, ...], ..
     largest weight stays within TIE_RTOL.
     """
     arr = _weights_of(w)
-    order = np.argsort(-arr, kind="stable").tolist()
+    order = np.argsort(-arr, kind="stable")
+    s = arr.take(order)
+    order = order.tolist()
+    if not np.count_nonzero(s[:-1] - s[1:] <= TIE_RTOL * s[:-1]):  # the loop's test never ties
+        return tuple((i,) for i in order)
     values = arr.tolist()
     groups: list[tuple[int, ...]] = []
     current = [order[0]]

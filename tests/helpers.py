@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
 from pcrank import PCMatrix, graph_of, is_connected, parse_matrix
+from pcrank.matrix import default_labels
 
 # Reference 4x4 example: three comparisons present (c14 = c34 = 2, c23 = 3)
 # plus reciprocals.  These entries admit a consistent completion generated by
@@ -23,6 +25,14 @@ HUGE_FRACTION = "1" + "0" * 400 + "/3"
 
 #: A valid, connected chain whose weights span 1e600: beyond double precision.
 CHAIN_TEXT = "1,1e200,?,?\n1e-200,1,1e200,?\n?,1e-200,1,1e200\n?,?,1e-200,1\n"
+
+
+def serialize_by_fstrings(m: PCMatrix) -> str:
+    """Number-by-number reference for :func:`pcrank.serialize_matrix`."""
+    lines = [] if m.labels == default_labels(m.n) else ["# labels: " + ",".join(m.labels)]
+    for row in m.values:
+        lines.append(",".join("?" if math.isnan(x) else f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def example4() -> PCMatrix:

@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcrank import build_harker, graph_of, parse_matrix, rank_gm, s_star, serialize_matrix, validate
+import pcrank.matrix
+from pcrank import (
+    build_harker,
+    complete_matrix,
+    graph_of,
+    parse_matrix,
+    rank_gm,
+    s_star,
+    serialize_matrix,
+    validate,
+)
 from pcrank.cli import _build_parser, main
 
 from helpers import (
@@ -21,6 +31,7 @@ from helpers import (
     random_incomplete,
     record_calls,
     run_cli,
+    serialize_by_fstrings,
 )
 
 DISCONNECTED_TEXT = "1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n"
@@ -244,6 +255,20 @@ class TestComplete:
         present = ~m.missing_mask
         assert np.array_equal(completed.values[present], m.values[present])
         assert parse_matrix(serialize_matrix(completed)).equals(completed)
+
+    def test_bulk_rendering_is_exact(self, tmp_path, capsys):
+        """Above the bulk renderer's cutoff, rows that mix in-range entries
+        with present ones outside [1e-4, 2**50) print exactly as ``"%.17g"``."""
+        m = random_incomplete(30, np.random.default_rng(31), p=0.5)
+        values = m.values.copy()
+        for (i, j), c in {(0, 1): 1e-5, (2, 5): 2.0**51, (7, 3): 5e-324 * 2**60}.items():
+            values[i, j], values[j, i] = c, 1 / c
+        rows = [",".join("?" if np.isnan(x) else repr(x) for x in row) for row in values.tolist()]
+        path = write(tmp_path, "\n".join(rows) + "\n")
+        assert values.size >= pcrank.matrix._BULK_MIN_ENTRIES
+        assert main(["complete", path]) == 0
+        want = serialize_by_fstrings(complete_matrix(parse_matrix("\n".join(rows))))
+        assert capsys.readouterr().out == want
 
     def test_structured_rows(self, example_file, capsys):
         assert main(["complete", "--format", "structured", example_file]) == 0

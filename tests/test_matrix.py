@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from pcrank import (
     serialize_matrix,
     validate,
 )
+import pcrank.matrix
 from pcrank.matrix import (
     _LABELS_RE,
     _check_labels,
@@ -52,6 +54,7 @@ from helpers import (
     random_complete,
     random_incomplete,
     record_calls,
+    serialize_by_fstrings,
 )
 
 # One matrix with every violation kind, several positions each, and entries
@@ -331,14 +334,6 @@ def test_bulk_edges_match_token_reference(text, monkeypatch):
     assert (bulk_calls == 0) == (text in BULK_EDGE_TEXTS)
 
 
-def serialize_by_fstrings(m):
-    """Number-by-number reference for :func:`serialize_matrix`."""
-    lines = [] if m.labels == default_labels(m.n) else ["# labels: " + ",".join(m.labels)]
-    for row in m.values:
-        lines.append(",".join("?" if math.isnan(x) else f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def accepted_label(name):
     try:
         PCMatrix(np.ones((2, 2)), (name, "b"))
@@ -376,6 +371,83 @@ def test_roundtrip_property(m):
 @given(pc_matrices(elements=st.floats()))
 def test_serialize_matches_fstring_reference(m):
     assert serialize_matrix(m) == serialize_by_fstrings(m)
+
+
+@settings(max_examples=100)
+@given(pc_matrices(elements=st.floats()))
+def test_bulk_serialize_matches_fstring_reference(m):
+    """As above, with every matrix rendered in bulk."""
+    with mock.patch.object(pcrank.matrix, "_BULK_MIN_ENTRIES", 0):
+        assert serialize_matrix(m) == serialize_by_fstrings(m)
+
+
+def _near(x, ulps):
+    """The doubles within ``ulps`` steps of x, x included."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def _ties(rng, parity, count):
+    """Doubles u * 2**-r whose decimal expansion u * 5**r has 18 significant
+    digits, ending in 5 (u odd), and a 17th digit of the given parity: each
+    one is an exact tie for 17-digit rounding."""
+    found = []
+    while len(found) < count:
+        r = int(rng.integers(2, 40))
+        lo, hi = -(-(10**17) // 5**r), min(10**18 // 5**r, 2**53)
+        if lo >= hi:
+            continue
+        u = int(rng.integers(lo, hi)) | 1
+        x = math.ldexp(u, -r)
+        digits = str(u * 5**r)
+        if len(digits) == 18 and int(digits[16]) % 2 == parity and 1e-4 <= x < 2.0**50:
+            found.append(x)
+    return found
+
+
+def _render_in_bulk(values):
+    """``values`` laid out as a matrix (padded with ones), rendered in bulk."""
+    values = np.asarray(values, dtype=float)
+    n = math.isqrt(values.size - 1) + 1
+    m = PCMatrix(np.concatenate([values, np.ones(n * n - values.size)]).reshape(n, n))
+    with mock.patch.object(pcrank.matrix, "_BULK_MIN_ENTRIES", 0):
+        return serialize_matrix(m), serialize_by_fstrings(m)
+
+
+class TestBulkRendering:
+    """The bulk renderer against ``"%.17g"`` where exact rounding is hardest."""
+
+    def test_powers_of_ten_and_two(self):
+        values = [y for k in range(-6, 18) for y in _near(10.0**k, 2)]
+        values += [y for k in range(-16, 54) for y in _near(2.0**k, 2)]
+        got, want = _render_in_bulk(values)
+        assert got == want
+
+    def test_range_ends(self):
+        got, want = _render_in_bulk(_near(1e-4, 1) + _near(2.0**50, 1))
+        assert got == want
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_exact_ties_round_half_to_even(self, parity):
+        got, want = _render_in_bulk(_ties(np.random.default_rng(17 + parity), parity, 400))
+        assert got == want
+
+    def test_blocks_and_rows(self):
+        """Rows split over several blocks, NaN and out-of-range entries among
+        in-range ones, and a labels line."""
+        rng = np.random.default_rng(5)
+        n = 150
+        values = np.exp(rng.uniform(-12, 36, (n, n)))
+        values[rng.random((n, n)) < 0.05] = math.nan
+        values[rng.random((n, n)) < 0.05] *= 1e-12
+        m = PCMatrix(values, tuple(f"alt {i}" for i in range(n)))
+        assert n * n > pcrank.matrix._BULK_BLOCK
+        assert serialize_matrix(m) == serialize_by_fstrings(m)
 
 
 def validate_by_loops(m, tol):

@@ -21,6 +21,8 @@ from pcrank import (
     s_star,
 )
 
+from pcrank.metrics import TIE_RTOL
+
 from helpers import LOG9, consistent_complete, example4, random_incomplete
 
 
@@ -114,6 +116,21 @@ class TestSStar:
         assert s_star(prepare(m), w) == s_star(m, w)
 
 
+def ranking_by_loop(arr):
+    """Tie groups by the element-by-element rule :func:`ordinal_ranking`
+    documents."""
+    order = sorted(range(arr.size), key=lambda i: (-arr[i], i))
+    groups, current, head = [], [order[0]], arr[order[0]]
+    for idx in order[1:]:
+        if head - arr[idx] <= TIE_RTOL * head:
+            current.append(idx)
+        else:
+            groups.append(tuple(sorted(current)))
+            current, head = [idx], arr[idx]
+    groups.append(tuple(sorted(current)))
+    return tuple(groups)
+
+
 class TestOrdinalRanking:
     def test_distinct_weights(self):
         assert ordinal_ranking(np.array([0.2, 0.5, 0.3])) == ((1,), (2,), (0,))
@@ -130,23 +147,33 @@ class TestOrdinalRanking:
         assert ordinal_ranking(w) == ((2,), (1,), (0,))
 
     def test_matches_sorted_reference(self):
-        def reference(arr):
-            order = sorted(range(arr.size), key=lambda i: (-arr[i], i))
-            groups, current, head = [], [order[0]], arr[order[0]]
-            for idx in order[1:]:
-                if head - arr[idx] <= 1e-9 * head:
-                    current.append(idx)
-                else:
-                    groups.append(tuple(sorted(current)))
-                    current, head = [idx], arr[idx]
-            groups.append(tuple(sorted(current)))
-            return tuple(groups)
-
         rng = np.random.default_rng(9)
         for _ in range(200):
             base = rng.choice([0.1, 0.2, 0.3], size=int(rng.integers(1, 30)))
             w = base * (1 + rng.choice([0.0, 5e-10, 2e-9, 1e-3], size=base.size))
-            assert ordinal_ranking(w) == reference(w)
+            assert ordinal_ranking(w) == ranking_by_loop(w)
+
+    def test_distinct_weights_are_singletons(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 7, 600):
+            w = rng.uniform(0.5, 2.0, n)
+            assert ordinal_ranking(w) == ranking_by_loop(w)
+            assert len(ordinal_ranking(w)) == n
+
+    def test_gaps_at_the_tolerance(self):
+        """A gap of exactly TIE_RTOL times the larger weight, and 1 ulp either
+        side: ties and singletons fall exactly where the loop puts them."""
+        gap, heads = 2.0**-20, [2.0**-20 / TIE_RTOL]
+        for _ in range(4):
+            heads.append(math.nextafter(heads[-1], math.inf))
+        head = next(h for h in heads if TIE_RTOL * h == gap)  # the gap is exact
+        edge = head - gap
+        sizes = set()
+        for below in (math.nextafter(edge, 0), edge, math.nextafter(edge, math.inf)):
+            for w in (np.array([100.0, below, head, 2000.0]), np.array([head, below, 1.0, 1.0])):
+                assert ordinal_ranking(w) == ranking_by_loop(w)
+                sizes.add(len(ordinal_ranking(w)))
+        assert len(sizes) > 1  # the sweep crosses the tolerance
 
     def test_format(self):
         groups = ordinal_ranking(np.array([2 / 11, 6 / 11, 2 / 11, 1 / 11]))
