@@ -43,6 +43,17 @@ _SOLVERS = {"gm": _solve_gm, "lls": _solve_lls, "harker": _solve_harker}
 _METHOD_ERRORS = (ConvergenceError, UnrepresentableWeightsError)
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``'s type: a float of 0 or more, inf included."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not tol >= 0:  # also NaN
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcrank",
@@ -60,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_TOL,
         metavar="REL",
         help="relative reciprocity tolerance (0 = strict; default %(default)g)",

@@ -109,7 +109,11 @@ def power_iteration(
     after ``max_iter`` steps of either kind or when ``v`` has a zero entry,
     except that with a positive diagonal a zero entry can only be underflow,
     which raises UnrepresentableWeightsError.  Raises SingularMatrixError when
-    a power step maps ``v`` to the zero vector, as the zero matrix does.
+    a power step maps ``v`` to the zero vector, as the zero matrix does.  A
+    power step whose l1 norm of a v overflows rescales a v by its largest
+    entry, unless min(a v / v) over the positive entries of v, a lower bound
+    on lam, overflows too: then lam does not fit in a double, which raises
+    UnrepresentableWeightsError.
 
     A power step costs one matrix-vector product, 2n^2 flops, and converges
     at the rate |lam_2 / lam_1|, which can sit next to 1.  A Noda step (see
@@ -145,27 +149,36 @@ def power_iteration(
     v = np.full(n, 1.0 / n)
     av = a @ v
     residual = np.inf
-    for step in range(max_iter):
-        if step == switch:
-            noda = _Noda(a)
-        y = noda.step(v, av) if noda else None
-        if y is None:
-            lam = float(av.sum())  # l1 norm: av is nonnegative
-            if lam <= 0.0:
-                raise SingularMatrixError("iteration collapsed to the zero vector")
-            v = av / lam
-            av = a @ v  # checks this step's residual and seeds the next step
-        else:
-            v, av = y, a @ y
-            lam = float(av.sum())
-        error = np.abs(av - lam * v)
-        residual = float(error.max())
-        if residual <= tol * lam * float(np.abs(v).max()) and (
-            noda is None or _settled(a, v, error, lam, tol)
-        ):
-            if (v > 0).all():
-                return lam, v
-            raise _zero_entry_error(a)
+    with np.errstate(all="ignore"):  # overflow is handled below, and by _Noda
+        for step in range(max_iter):
+            if step == switch:
+                noda = _Noda(a)
+            y = noda.step(v, av) if noda else None
+            if y is None:
+                lam = float(av.sum())  # l1 norm: av is nonnegative
+                if lam <= 0.0:
+                    raise SingularMatrixError("iteration collapsed to the zero vector")
+                if lam == math.inf:  # a v fits, its l1 norm does not
+                    if not np.min(av / v, where=v > 0, initial=math.inf) < math.inf:
+                        # Collatz-Wielandt: lam_max >= min(a v / v) over v_i > 0
+                        raise UnrepresentableWeightsError(
+                            "eigenvalue is not representable in double precision"
+                        )
+                    av = av / av.max()
+                    lam = float(av.sum())
+                v = av / lam
+                av = a @ v  # checks this step's residual and seeds the next step
+            else:
+                v, av = y, a @ y
+                lam = float(av.sum())
+            error = np.abs(av - lam * v)
+            residual = float(error.max())
+            if residual <= tol * lam * float(np.abs(v).max()) and (
+                noda is None or _settled(a, v, error, lam, tol)
+            ):
+                if (v > 0).all():
+                    return lam, v
+                raise _zero_entry_error(a)
     raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
 
 
@@ -188,7 +201,7 @@ def _eigensolve(a: np.ndarray, tol: float) -> tuple[float, np.ndarray] | None:
         lam = float(av.sum())
         error = np.abs(av - lam * v)
         passed = 0.0 < lam < math.inf and error.max() <= tol * lam * v.max()
-    return (lam, v) if passed and _settled(a, v, error, lam, tol) else None
+        return (lam, v) if passed and _settled(a, v, error, lam, tol) else None
 
 
 def _settled(a: np.ndarray, v: np.ndarray, error: np.ndarray, lam: float, tol: float) -> bool:
@@ -196,11 +209,13 @@ def _settled(a: np.ndarray, v: np.ndarray, error: np.ndarray, lam: float, tol: f
 
     Entries below the normal range carry only an absolute precision, the
     subnormal spacing, so each may add that spacing times its column of a
-    (and lam its own) to the error of every entry it feeds.
+    (and lam its own) to the error of every entry it feeds.  A slack that
+    overflows bounds nothing, and fails the test.  Runs under the caller's
+    ``np.errstate``.
     """
     below = v < _TINY
     slack = ((a @ below + lam) if below.any() else lam) * (v.size * _SUBNORMAL)
-    return bool((error <= tol * lam * v + slack).all())
+    return bool((error <= tol * lam * v + slack).all() and np.isfinite(slack).all())
 
 
 def _zero_entry_error(a: np.ndarray) -> Exception:
@@ -239,34 +254,34 @@ class _Noda:
         others, and the step raises as :func:`power_iteration` does for a zero
         entry.  If a v / v still overflows, v is too far off scale for any
         shift, and the step starts from the uniform vector instead, keeping
-        ``floor``; a power step would leave v as far off scale.
+        ``floor``; a power step would leave v as far off scale.  Runs under
+        :func:`power_iteration`'s ``np.errstate``.
         """
         a = self.a
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = av / v
+        fed = (v >= _TINY) & (ratios < np.inf)
+        self.floor = max(self.floor, float(np.min(ratios, where=fed, initial=np.inf)))
+        if not fed.all():
+            v = np.where(fed, v, av / self.floor)
+            if not (v >= _TINY).all():
+                raise _zero_entry_error(a)
+            av = a @ v
             ratios = av / v
-            fed = (v >= _TINY) & (ratios < np.inf)
-            self.floor = max(self.floor, float(np.min(ratios, where=fed, initial=np.inf)))
-            if not fed.all():
-                v = np.where(fed, v, av / self.floor)
-                if not (v >= _TINY).all():
-                    raise _zero_entry_error(a)
-                av = a @ v
-                ratios = av / v
-            if not ratios.max() < math.inf:
-                v = np.full(v.size, 1.0 / v.size)
-                ratios = a @ v / v
-            sigma = float(ratios.max())
-            if not sigma < math.inf:
-                return None
-            last, self.width = self.width, _log_width(self.floor, sigma)
-            if self.width > last / 2:
-                trial = math.sqrt(self.floor) * math.sqrt(sigma)
-                if 0.0 < trial < sigma:
-                    y = _shifted_solve(a, v, trial)
-                    if y is not None:
-                        return y
-                    self.floor, self.width = trial, _log_width(trial, sigma)
-            return _shifted_solve(a, v, sigma)
+        if not ratios.max() < math.inf:
+            v = np.full(v.size, 1.0 / v.size)
+            ratios = a @ v / v
+        sigma = float(ratios.max())
+        if not sigma < math.inf:
+            return None
+        last, self.width = self.width, _log_width(self.floor, sigma)
+        if self.width > last / 2:
+            trial = math.sqrt(self.floor) * math.sqrt(sigma)
+            if 0.0 < trial < sigma:
+                y = _shifted_solve(a, v, trial)
+                if y is not None:
+                    return y
+                self.floor, self.width = trial, _log_width(trial, sigma)
+        return _shifted_solve(a, v, sigma)
 
 
 def _log_width(floor: float, sigma: float) -> float:

@@ -30,23 +30,19 @@ def build_lls_system(m: PCMatrix | Problem, anchor: int = 0) -> np.ndarray:
     """The Laplacian with row and column ``anchor`` removed: the symmetric
     positive definite matrix LLS solves once x[anchor] is pinned to 0.
 
-    Written into one fresh array from the problem's edge list: -1 at each
-    present pair off the anchor, and on the diagonal the degrees, edges to
-    the anchor included.  The right-hand side is ``prepare(m).rhs``
-    without entry ``anchor``.  Raises IndexError for an anchor out of range.
+    Written into one fresh array from the missing mask less row and column
+    ``anchor`` (0 where missing, -1 where present), with the degrees, edges
+    to the anchor included, on the diagonal.  The right-hand side is
+    ``prepare(m).rhs`` without entry ``anchor``.  Raises IndexError for an
+    anchor out of range.
     """
     p = prepare(m)
-    n, a = p.matrix.n, anchor
-    if not 0 <= a < n:
-        raise IndexError(f"anchor {a} out of range for n={n}")
-    kept = (p.rows != a) & (p.cols != a)
-    rows, cols = p.rows[kept], p.cols[kept]
-    rows -= rows > a
-    cols -= cols > a
-    system = np.zeros((n - 1, n - 1))
-    system.put(rows * (n - 1) + cols, -1.0)  # the diagonal's -1 is overwritten below
-    degrees = np.bincount(p.rows, minlength=n) - 1.0  # less the unit diagonal
-    system.flat[::n] = np.concatenate((degrees[:a], degrees[a + 1 :]))
+    n = p.matrix.n
+    if not 0 <= anchor < n:
+        raise IndexError(f"anchor {anchor} out of range for n={n}")
+    keep = np.arange(n) != anchor
+    system = p.matrix.missing_mask[keep][:, keep] - 1.0
+    system.flat[::n] = np.bincount(p.rows, minlength=n)[keep] - 1.0  # less the unit diagonal
     return system
 
 

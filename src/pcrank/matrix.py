@@ -486,13 +486,16 @@ def serialize_matrix(m: PCMatrix) -> str:
 
 def validate(m: PCMatrix, tol: float = DEFAULT_TOL, *, _present=None) -> ValidationReport:
     """Check diagonal, positivity, reciprocity, missingness symmetry, and
-    connectivity.  Nothing is raised; every problem is reported.
+    connectivity.  No defect of the matrix raises; every one is reported.
 
-    ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal.
-    Violations are listed by kind in the order above, each kind in row-major
-    order of its positions (a pair's upper one).  Past the diagonal and the
+    ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal;
+    a negative or NaN ``tol`` raises ValueError.  Violations are listed by
+    kind in the order above, each kind in row-major order of its positions
+    (a pair's upper one).  Past the diagonal and the
     graph, only present entries and their mirrors are read.  :func:`prepare`
     passes the edge list (see :func:`_edges`) it has found."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     v, n = m.values, m.n
     adj = graph_of(m)
     flat, rows, cols = _edges(m.missing_mask) if _present is None else _present
@@ -577,7 +580,8 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
 
     A Problem is returned unchanged.  Raises DisconnectedGraphError when
     connectivity is the only problem :func:`validate` reports,
-    InvalidMatrixError otherwise; both carry the full report.
+    InvalidMatrixError otherwise; both carry the full report.  A negative or
+    NaN ``tol`` raises ValueError.
     """
     if isinstance(m, Problem):
         return m

@@ -15,8 +15,9 @@ _SCALE_TOL = 1e-12
 
 
 class UnrepresentableWeightsError(ArithmeticError):
-    """The weights (or fitted ratios) overflow or underflow double precision:
-    the matrix's ratios span a wider range than a float can hold."""
+    """The weights (or fitted ratios, or Harker's eigenvalue) overflow or
+    underflow double precision: the matrix's ratios span a wider range than a
+    float can hold."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,25 @@ HUGE_FRACTION = "1" + "0" * 400 + "/3"
 #: A valid, connected chain whose weights span 1e600: beyond double precision.
 CHAIN_TEXT = "1,1e200,?,?\n1e-200,1,1e200,?\n?,1e-200,1,1e200\n?,?,1e-200,1\n"
 
+#: A valid circulant 6x6: c_ij = 1e308 where (j - i) mod 6 is 1 or 2, 1e-308
+#: where it is 4 or 5, and 1 elsewhere.  Every weight is 1/6, but Harker's
+#: eigenvalue, 2 + 2e308 + 2e-308, is beyond the largest double.
+CIRCULANT_TEXT = "".join(
+    ",".join(("1", "1e308", "1e308", "1", "1e-308", "1e-308")[(j - i) % 6] for j in range(6)) + "\n"
+    for i in range(6)
+)
+
+#: A valid 6x6 with log ratios near +-700 whose weights fit in no method.
+#: Harker's entry-by-entry test meets a slack that overflows on it.
+SLACK_OVERFLOW_TEXT = """\
+1,?,4.5279069997730377e-302,1,1,2.5543344923845443e-306
+?,1,?,8.9089871001455654e+307,1.5520006910937627e-308,2.9180042054366013e-304
+2.2085259261069743e+301,?,1,2.2791605565726694e+305,5.6420706050200278e+305,8.4147130859509201e+307
+1,1.1224620585472178e-308,4.3875803181842037e-306,1,7.6369077675593915e-309,?
+1,6.4432960999215564e+307,1.7723989471352072e-306,1.309430505692202e+308,1,5.4090400244830558e+305
+3.9149140528829938e+305,3.4269998587969024e+303,1.1883946484991687e-308,?,1.848756887495153e-306,1
+"""
+
 
 def serialize_by_fstrings(m: PCMatrix) -> str:
     """Number-by-number reference for :func:`pcrank.serialize_matrix`."""

@@ -24,9 +24,11 @@ from pcrank.cli import _build_parser, main
 
 from helpers import (
     CHAIN_TEXT,
+    CIRCULANT_TEXT,
     EXAMPLE4_TEXT,
     EXAMPLE4_WEIGHTS,
     HUGE_FRACTION,
+    SLACK_OVERFLOW_TEXT,
     example4,
     random_incomplete,
     record_calls,
@@ -220,6 +222,24 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert main(["validate", "--tol", "0", path]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["rank", "validate"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "x"])
+    def test_negative_or_nan_tolerance_is_a_usage_error(self, command, tol):
+        # -1 used to flag every diagonal 1 as "DiagonalNotOne: expected 1, got 1"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, f"--tol={tol}"], "1,3,?\n1/3,1,2\n?,0.5,1\n")
+        assert exit_info.value.code == 2
+
+    def test_tolerance_error_names_the_option(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["rank", "--tol", "nan", "m.pcm"])
+        assert "argument --tol: expected a number >= 0, got 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "1e-3", "inf"])
+    def test_nonnegative_tolerances_are_accepted(self, tol):
+        got = run_cli(["rank", "--tol", tol], "1,3,?\n1/3,1,2\n?,0.5,1\n")
+        assert got["exit"] == 0 and got["stdout"].startswith("a1 0.6667\n")
 
 
 class TestComplete:
@@ -441,6 +461,33 @@ class TestMethodFailures:
         assert [r["method"] for r in record["methods"]] == ["gm"]
         assert [e["method"] for e in record["errors"]] == ["lls", "harker"]
         assert err == ""
+
+
+class TestOverflowingHarker:
+    """Valid matrices whose Harker iteration meets overflow: one typed error
+    line for Harker, no warning and no traceback."""
+
+    def test_compare_reports_the_eigenvalue_beside_gm_and_lls(self):
+        got = run_cli(["compare"], CIRCULANT_TEXT)
+        assert got["exit"] == 0 and got["stderr"] == ""
+        lines = got["stdout"].splitlines()
+        assert [line.split()[0] for line in lines[1:4]] == ["gm", "lls", "harker"]
+        assert lines[1].split()[1:7] == ["0.1667"] * 6 == lines[2].split()[1:7]
+        assert lines[3] == "harker  ERROR: eigenvalue is not representable in double precision"
+
+    def test_rank_harker_is_one_line(self):
+        got = run_cli(["rank", "--method", "harker"], CIRCULANT_TEXT)
+        assert got == {
+            "exit": 1,
+            "stdout": "",
+            "stderr": "pcrank: harker: eigenvalue is not representable in double precision\n",
+        }
+
+    def test_compare_with_an_overflowing_slack(self):
+        got = run_cli(["compare"], SLACK_OVERFLOW_TEXT)
+        assert got["exit"] == 1
+        assert got["stderr"] == "pcrank: compare: no method produced weights\n"
+        assert [line.split()[0] for line in got["stdout"].splitlines()[1:4]] == ["gm", "lls", "harker"]
 
 
 def test_console_script_installed(example_file):

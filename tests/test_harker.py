@@ -20,6 +20,8 @@ from pcrank.harker import _solve_harker
 
 from helpers import (
     CHAIN_TEXT,
+    CIRCULANT_TEXT,
+    SLACK_OVERFLOW_TEXT,
     consistent_complete,
     example4,
     random_complete,
@@ -136,6 +138,33 @@ def test_underflowing_eigenvector_raises_typed_error():
     # valid and connected, but the eigenvector spans 1e600: its tail underflows to 0
     with pytest.raises(UnrepresentableWeightsError):
         rank_harker(parse_matrix(CHAIN_TEXT))
+
+
+def test_overflowing_eigenvalue_raises_typed_error():
+    # The weights are uniform, but the l1 norm of B v overflows at the first
+    # power step, and so does every entry of B v / v, a lower bound on lambda_max.
+    m = parse_matrix(CIRCULANT_TEXT)
+    assert np.allclose(rank_gm(m).weights, 1 / 6, rtol=1e-15, atol=0)
+    with pytest.raises(UnrepresentableWeightsError, match="eigenvalue is not representable"):
+        rank_harker(m)
+
+
+def test_power_step_whose_norm_overflows_is_rescaled():
+    # Every entry above the diagonal is 1.7e308.  The l1 norm of B v overflows
+    # at the first power step, but B v / v does not at the last row, so the
+    # step is rescaled.  lambda_max is at least 1.7e308 ** (2/3), from the
+    # cycle a1 > ... > a6 > a1, so the last weight is below 1e-500.
+    i, j = np.indices((6, 6))
+    values = np.select([i < j, i > j], [1.7e308, 1.0 / 1.7e308], 1.0)
+    with pytest.raises(UnrepresentableWeightsError, match="eigenvector is not representable"):
+        rank_harker(PCMatrix(values))
+
+
+def test_overflowing_slack_raises_no_warning():
+    # Noda steps reach vectors with subnormal entries whose columns of B sum
+    # past the largest double; the iteration still ends in a typed error.
+    with pytest.raises(UnrepresentableWeightsError):
+        rank_harker(parse_matrix(SLACK_OVERFLOW_TEXT))
 
 
 def perron_vector(a: np.ndarray) -> np.ndarray:

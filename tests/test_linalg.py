@@ -326,3 +326,20 @@ class TestNodaSafeguards:
     def test_singular_shifted_system_gives_no_step(self):
         # (1 I - (1)) y = 1 is exactly singular
         assert pcrank.linalg._shifted_solve(np.array([[1.0]]), np.array([1.0]), 1.0) is None
+
+    def test_no_step_when_the_uniform_restart_overflows_too(self):
+        # a v / v overflows at v = 1/3, again after the unfed entry is raised,
+        # and again from the uniform vector, so sigma is infinite.
+        a = np.array([[1.0, 1e308, 1e308], [1e308, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        v = np.full(3, 1 / 3)
+        with np.errstate(all="ignore"):  # the step runs under power_iteration's
+            assert pcrank.linalg._Noda(a).step(v, a @ v) is None
+
+
+def test_overflowing_slack_is_not_settled():
+    # The two subnormal entries of v feed 2e308 to the error bound of each
+    # entry: a bound that says nothing, however large the error.
+    a = np.array([[1.0, 1e308, 1e308]] * 3)
+    v = np.array([1.0, 1e-320, 1e-320])
+    with np.errstate(over="ignore"):  # _settled runs under its caller's
+        assert not pcrank.linalg._settled(a, v, np.full(3, 1e300), 1.0, 1e-12)

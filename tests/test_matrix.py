@@ -596,6 +596,17 @@ class TestValidate:
         assert validate(inside, tol=1e-9).ok
         assert NON_RECIPROCAL in validate(outside, tol=1e-9).kinds()
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_negative_or_nan_tolerance_raises(self, tol):
+        m = PCMatrix([[1.0, 3.0], [1 / 3, 1.0]])
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            validate(m, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            prepare(m, tol)
+
+    def test_infinite_tolerance_accepts_any_positive_pair(self):
+        assert validate(PCMatrix([[1.0, 3.0], [3.0, 1.0]]), math.inf).ok
+
     def test_strict_tolerance(self):
         decimal = parse_matrix("1,0.333333\n3,1\n")
         fractions = parse_matrix("1,1/3\n3,1\n")
@@ -745,6 +756,9 @@ class TestRepair:
 
 
 class TestConstruction:
+    def test_repr_names_size_and_labels(self):
+        assert repr(PCMatrix(np.ones((2, 2)), ("x", "y"))) == "PCMatrix(n=2, labels=['x', 'y'])"
+
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             PCMatrix(np.ones((2, 3)))
