@@ -42,9 +42,10 @@ _BLOCK = 32
 #: 360-380 against 300-365 us at n = 28; beyond that the iteration is faster.
 _EIG_MAX_N = 24
 
-#: The smallest normal double, and the spacing of the doubles below it.
+#: The smallest normal double, the spacing of the doubles below it, the largest.
 _TINY = float(np.finfo(float).tiny)
 _SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+_HUGE = float(np.finfo(float).max)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -124,7 +125,8 @@ def power_iteration(
     whose small entries are wrong by orders of magnitude can pass it; Noda
     steps reach such vectors on wide-range matrices, so once they have begun
     the test must also hold entry by entry (:func:`_settled`).  A Noda
-    step that cannot be taken in floating point gives way to a power step.
+    step shifts at the largest double when its bound overflows, and gives
+    way to a power step when it cannot be taken in floating point.
 
     On small matrices the per-step numpy overhead, not the flops, sets the
     cost, and one LAPACK eigensolve is cheaper than the handful of steps.
@@ -229,14 +231,14 @@ class _Noda:
     quadratic convergence: L. Elsner, Linear Algebra Appl. 15, 1976).
 
     A step from v > 0 takes sigma = max(a v / v), an upper bound on lam
-    (Collatz-Wielandt), and solves (sigma I - a) y = v.  Far from the
-    solution sigma can exceed lam by hundreds of orders of magnitude, and a
-    step then barely moves v.  So, as in a safeguarded root finder, a step
-    that has not halved log(sigma / floor), with ``floor`` the best lower
-    bound on lam so far, is followed by one that first tries the shift
-    sqrt(floor * sigma).  A positive y proves that shift exceeds lam, since
-    then a y < shift * y; a shift that fails becomes the new floor, and the
-    step falls back to sigma.
+    (Collatz-Wielandt), or the largest double if that overflows, and solves
+    (sigma I - a) y = v; a positive y proves that its shift exceeds lam,
+    since then a y < shift * y.  Far from the solution sigma can exceed lam
+    by hundreds of orders of magnitude, and a step then barely moves v.  So,
+    as in a safeguarded root finder, a step that has not halved
+    log(sigma / floor), with ``floor`` the best lower bound on lam so far,
+    is followed by one that first tries the shift sqrt(floor * sigma); a
+    shift that fails becomes the new floor, and the step falls back to sigma.
     """
 
     def __init__(self, a: np.ndarray):
@@ -252,10 +254,9 @@ class _Noda:
         first takes the value av_i / floor >= av_i / lam.  If that is still
         below the normal range, so is the eigenvector's entry next to the
         others, and the step raises as :func:`power_iteration` does for a zero
-        entry.  If a v / v still overflows, v is too far off scale for any
-        shift, and the step starts from the uniform vector instead, keeping
-        ``floor``; a power step would leave v as far off scale.  Runs under
-        :func:`power_iteration`'s ``np.errstate``.
+        entry.  If a v / v still overflows, sigma is the largest double; if
+        it is NaN, there is no step.  Runs under :func:`power_iteration`'s
+        ``np.errstate``.
         """
         a = self.a
         ratios = av / v
@@ -267,11 +268,8 @@ class _Noda:
                 raise _zero_entry_error(a)
             av = a @ v
             ratios = av / v
-        if not ratios.max() < math.inf:
-            v = np.full(v.size, 1.0 / v.size)
-            ratios = a @ v / v
-        sigma = float(ratios.max())
-        if not sigma < math.inf:
+        sigma = min(float(ratios.max()), _HUGE)  # a NaN stays NaN
+        if math.isnan(sigma):
             return None
         last, self.width = self.width, _log_width(self.floor, sigma)
         if self.width > last / 2:

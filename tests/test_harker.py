@@ -15,7 +15,9 @@ from pcrank import (
     prepare,
     rank_gm,
     rank_harker,
+    serialize_matrix,
 )
+from pcrank.cli import main
 from pcrank.harker import _solve_harker
 
 from helpers import (
@@ -124,14 +126,55 @@ WIDE_PERRON = np.array([
 ])
 WIDE_LAMBDA = 1.6736737918156516e153
 
+#: A valid 12x12 with |ln c_ij| in [690, 709.7], draw 3595 (0-based) of the
+#: seeded search that ROADMAP describes.  max(B v / v) overflows at every
+#: Noda step, yet the Perron root, just below the largest double, and the
+#: Perron vector (from mpmath's eigensolver at 850 digits) fit in a double.
+EDGE_TEXT = """\
+1,?,5.8658062305169976e-306,7.5967992086699924e-304,?,1.7522446716327113e+303,5.2282201347386578e+304,?,7.9444943599268356e+303,?,5.7427405554480269e+299,3.2727334124897866e-307
+?,1,2.2078666799388004e+301,?,2.346365243447554e-304,?,1.4965395488834812e+302,3.6004920964839586e+304,2.2525968152958834e+301,2.0842187110154678e-302,?,?
+1.7047954888067663e+305,4.5292589859987329e-302,1,?,?,?,?,3.1339691915917679e-302,3.3864631547547026e+302,1.6414406501098549e+305,?,3.0989618008169106e-304
+1.3163438607917014e+303,?,?,1,1.0043720033862912e-301,7.0787661300957307e-309,5.5527732122276051e+304,9.9919789625072541e-309,4.9869823546623199e+305,?,7.1029966669732958e+307,8.866669861560765e+307
+?,4.2619110677359126e+303,?,9.9564702782280793e+300,1,1.2819114798027355e-301,6.0208768097629564e-302,?,?,1.0003644897769903e-300,?,7.5007944889198987e-303
+5.7069655635945936e-304,?,?,1.4126755731460736e+308,7.8008506496398883e+300,1,?,5.5415008380847351e+303,7.8052254624858511e-301,4.4645277799767397e-305,1.7610922768888005e-300,6.6730246430942131e+307
+1.912696815031846e-305,6.6820820121063096e-303,?,1.8009019309449344e-305,1.6608876607116136e+301,?,1,9.7521599472640687e-304,2.5683369394584963e+307,1.9969774695536535e+300,1.1347968398754248e-306,?
+?,2.7773981255966227e-305,3.1908418330433299e+301,1.0008027476361633e+308,?,1.8045652779249998e-304,1.0254138625777422e+303,1,1.4051982717579313e+308,?,4.7175196245647321e+300,6.8170827135388661e-309
+1.2587333500343872e-304,4.4393208460993402e-302,2.95293335347815e-303,2.0052206502497488e-306,?,1.2811929710503386e+300,3.8935701334063992e-308,7.1164334606601807e-309,1,1.7812091815543405e+301,?,1.4171675251208074e+305
+?,4.7979609563757463e+301,6.0922093036569684e-306,?,9.9963564302740146e+299,2.2398785477043443e+304,5.0075677630129253e-301,?,5.6141637397544055e-302,1,2.248232901143498e+304,5.0356773120495908e+303
+1.7413288835612106e-300,?,?,1.4078564961879908e-308,?,5.6782941650657315e+299,8.8121500242261642e+305,2.1197580075615824e-301,?,4.447937753652565e-305,1,3.9488774481809778e-301
+3.0555498232263079e+306,?,3.2268871456769559e+303,1.1278191424891669e-308,1.3331921058191775e+302,1.4985708183093272e-308,?,1.4669031344067155e+308,7.0563287845221714e-306,1.9858301833740536e-304,2.5323652433443912e+300,1
+"""
+EDGE_PERRON = np.array([
+    6.3666415772263862e-06, 5.8184634558668283e-05, 1.4845981413857195e-07,
+    0.19236032563039929, 1.9797121872972985e-08, 0.39346928051725255,
+    7.2266072035187916e-05, 0.17657994653062073, 0.00030745289406682713,
+    9.1581286579267373e-05, 5.8484557932258832e-07, 0.23705384269039495,
+])
+EDGE_LAMBDA = 1.0926879254101641e308
 
-def test_noda_bound_overflowing_after_the_power_steps():
-    # After the power steps max(B v / v) overflows, and each power step taken
-    # instead of a Noda step leaves v as far off scale.
-    m = random_incomplete(8, np.random.default_rng(20), 0.4, 700.0)
-    assert np.abs(rank_harker(m).weights / WIDE_PERRON - 1.0).max() <= 1e-9
+
+@pytest.mark.parametrize(
+    "make, perron, lam",
+    [
+        (lambda: random_incomplete(8, np.random.default_rng(20), 0.4, 700.0), WIDE_PERRON, WIDE_LAMBDA),
+        (lambda: parse_matrix(EDGE_TEXT), EDGE_PERRON, EDGE_LAMBDA),
+    ],
+    ids=["8x8", "12x12"],
+)
+def test_noda_bound_overflowing_after_the_power_steps(make, perron, lam, tmp_path, capsys):
+    # After the power steps max(B v / v) overflows, so the Noda steps shift
+    # at the largest double; a power step taken instead would leave v as far
+    # off scale.
+    m = make()
+    assert np.abs(rank_harker(m).weights / perron - 1.0).max() <= 1e-9
     _, diagnostics = _solve_harker(prepare(m))
-    assert diagnostics["lambda_max"] == pytest.approx(WIDE_LAMBDA, rel=1e-12, abs=0)
+    assert diagnostics["lambda_max"] == pytest.approx(lam, rel=1e-12, abs=0)
+    path = tmp_path / "wide.csv"
+    path.write_text(serialize_matrix(m))
+    assert main(["compare", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:4]
+    assert [row.split()[0] for row in rows] == ["gm", "lls", "harker"]
+    assert rows[2].split()[1 : m.n + 1] == [f"{w:.4f}" for w in perron]
 
 
 def test_underflowing_eigenvector_raises_typed_error():

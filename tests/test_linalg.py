@@ -327,13 +327,24 @@ class TestNodaSafeguards:
         # (1 I - (1)) y = 1 is exactly singular
         assert pcrank.linalg._shifted_solve(np.array([[1.0]]), np.array([1.0]), 1.0) is None
 
-    def test_no_step_when_the_uniform_restart_overflows_too(self):
-        # a v / v overflows at v = 1/3, again after the unfed entry is raised,
-        # and again from the uniform vector, so sigma is infinite.
+    def test_no_step_when_the_shift_at_the_largest_double_fails(self):
+        # a v / v overflows at v = 1/3 and again after the unfed entry is
+        # raised, so the step shifts at the largest double; from that v the
+        # shifted solve gives no positive y, so there is no step.
         a = np.array([[1.0, 1e308, 1e308], [1e308, 1.0, 1.0], [1.0, 1.0, 1.0]])
         v = np.full(3, 1 / 3)
         with np.errstate(all="ignore"):  # the step runs under power_iteration's
             assert pcrank.linalg._Noda(a).step(v, a @ v) is None
+
+    def test_nan_bound_gives_no_step(self, monkeypatch):
+        # The zero first row makes the lower bound 0, so the unfed second
+        # entry is raised to 1 / 0 = inf, and 0 * inf makes a v / v NaN.
+        calls = record_calls(monkeypatch, pcrank.linalg._shifted_solve)
+        a = np.array([[0.0, 0.0], [1.0, 1.0]])
+        v = np.array([1.0, 1e-320])
+        with np.errstate(all="ignore"):
+            assert pcrank.linalg._Noda(a).step(v, a @ v) is None
+        assert calls == []
 
 
 def test_overflowing_slack_is_not_settled():
