@@ -98,7 +98,7 @@ def complete_matrix(m: PCMatrix | Problem) -> PCMatrix:
     values = np.subtract.outer(x, x)
     with np.errstate(over="ignore"):
         np.exp(values, out=values)
-    present = p.rows * p.matrix.n + p.cols
+    present = p.matrix._present[0]
     values.put(present, p.matrix.values.take(present))
     if not (0.0 < values.min() and values.max() < np.inf):  # False on a NaN
         raise UnrepresentableWeightsError("fitted ratios are not representable in double precision")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,10 +109,10 @@ class PCMatrix:
     read-only float array, so later writes to the caller's array do not show;
     safe to share across threads.  Construction checks shape and labels only —
     use :func:`validate` for diagonal, positivity, reciprocity, and
-    connectivity.
-    ``missing_mask`` is the read-only bool (n, n) array, True where the
-    comparison is missing; it is computed once, here, and every reader of
-    the matrix shares it.
+    connectivity.  ``missing_mask`` is the read-only bool (n, n) array, True
+    where the comparison is missing; it is computed once, here, and shared.
+    The private ``_present`` holds the present entries' read-only flat
+    indices, rows and columns, row-major with the diagonal, from first use.
     """
 
     values: np.ndarray
@@ -144,6 +145,14 @@ class PCMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def _present(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        flat = np.flatnonzero(~self.missing_mask)
+        edges = (flat, *np.divmod(flat, self.n))
+        for a in edges:
+            a.setflags(write=False)
+        return edges
 
     def is_complete(self) -> bool:
         return not self.missing_mask.any()
@@ -484,21 +493,21 @@ def serialize_matrix(m: PCMatrix) -> str:
     return head + b"".join(blocks).decode("ascii")
 
 
-def validate(m: PCMatrix, tol: float = DEFAULT_TOL, *, _present=None) -> ValidationReport:
+def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check diagonal, positivity, reciprocity, missingness symmetry, and
     connectivity.  No defect of the matrix raises; every one is reported.
 
     ``tol`` is the relative slack on c_ij * c_ji == 1 and on the unit diagonal;
     a negative or NaN ``tol`` raises ValueError.  Violations are listed by
     kind in the order above, each kind in row-major order of its positions
-    (a pair's upper one).  Past the diagonal and the
-    graph, only present entries and their mirrors are read.  :func:`prepare`
-    passes the edge list (see :func:`_edges`) it has found."""
+    (a pair's upper one).  Past the diagonal and the graph, only present
+    entries and their mirrors are read, from the list of present entries
+    that the matrix finds once, on first use."""
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     v, n = m.values, m.n
     adj = graph_of(m)
-    flat, rows, cols = _edges(m.missing_mask) if _present is None else _present
+    flat, rows, cols = m._present
     violations: list[Violation] = []
 
     diag = np.diag(v)
@@ -544,14 +553,6 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL, *, _present=None) -> Validat
     return ValidationReport(not violations, tuple(violations), int(adj.sum()) // 2, math.comb(n, 2))
 
 
-def _edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices, rows and columns of the entries where ``mask`` is False,
-    in row-major order: the present comparisons of a missing mask, diagonal
-    included."""
-    flat = np.flatnonzero(~mask)
-    return (flat, *np.divmod(flat, mask.shape[0]))
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A matrix that passed validation, with the arrays every method shares.
@@ -559,13 +560,13 @@ class Problem:
     Build it with :func:`prepare` only: holding a Problem means the matrix is
     valid and its comparison graph connected.  The present comparisons are
     one edge list in row-major order, diagonal included: entry k is
-    c[rows[k], cols[k]], and ``logs[k]`` is its logarithm.  ``rhs`` is the
-    right-hand side b that GM and LLS share, b_i = 1/2 sum_j (ln c_ij -
-    ln c_ji) over the present pairs of row i: the row sums of the
-    antisymmetric part of ln c, so a pair that is reciprocal only within the
-    tolerance enters the least-squares fit as the mean of its two log
-    ratios.  The arrays are read-only.  No n x n array is held: each method
-    writes its own matrix from the edge list and the matrix's missing mask.
+    c[rows[k], cols[k]] (``rows`` and ``cols`` are the matrix's own arrays),
+    and ``logs[k]`` is its logarithm.  ``rhs`` is the b that GM and LLS
+    share, b_i = 1/2 sum_j (ln c_ij - ln c_ji) over the present pairs of
+    row i: the row sums of the antisymmetric part of ln c, so a pair
+    reciprocal only within the tolerance enters the least-squares fit as the
+    mean of its two log ratios.  The arrays are read-only.  No n x n array is
+    held: each method writes its own from the edge list and the missing mask.
     """
 
     matrix: PCMatrix
@@ -581,25 +582,23 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     A Problem is returned unchanged.  Raises DisconnectedGraphError when
     connectivity is the only problem :func:`validate` reports,
     InvalidMatrixError otherwise; both carry the full report.  A negative or
-    NaN ``tol`` raises ValueError.
+    NaN ``tol`` raises ValueError.  The edge list is the matrix's own.
     """
     if isinstance(m, Problem):
         return m
-    edges = _edges(m.missing_mask)
-    report = validate(m, tol, _present=edges)
+    report = validate(m, tol)
     if not report.ok:
         if report.kinds() <= _CONNECTIVITY_KINDS:
             raise DisconnectedGraphError(report)
         raise InvalidMatrixError(report)
-    flat, rows, cols = edges
+    flat, rows, cols = m._present
     logs = np.log(m.values.take(flat))
     rhs = np.bincount(rows, logs, m.n)
     rhs -= np.bincount(cols, logs, m.n)
     rhs *= 0.5
-    arrays = (rhs, rows, cols, logs)
-    for a in arrays:
+    for a in (rhs, logs):
         a.setflags(write=False)
-    return Problem(m, *arrays)
+    return Problem(m, rhs, rows, cols, logs)
 
 
 def repair_reciprocal(m: PCMatrix) -> PCMatrix:

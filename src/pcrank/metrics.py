@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import PCMatrix, Problem, _edges
+from .matrix import PCMatrix, Problem
 from .priority import PriorityVector
 
 __all__ = [
@@ -52,16 +52,16 @@ def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
     """Like :func:`s_complete`, but missing entries are simply left out.
 
     Equals s_complete on complete matrices, and equals s_complete of the
-    geometric-mean completion evaluated at the same weights.  A Problem
-    lends its edge list of present entries and their logarithms instead of
-    recomputing them; only the present terms are evaluated and summed.
+    geometric-mean completion evaluated at the same weights.  Only the
+    present terms are summed, with a Problem's logarithms of them.  Raises
+    ValueError unless there is one weight per alternative.
     """
-    if isinstance(m, Problem):
-        rows, cols, logs = m.rows, m.cols, m.logs
-    else:
-        flat, rows, cols = _edges(m.missing_mask)
-        logs = np.log(m.values.take(flat))
     x = np.log(_weights_of(w))
+    matrix = m.matrix if isinstance(m, Problem) else m
+    if x.size != matrix.n:
+        raise ValueError(f"dimension mismatch: {x.size} weights for {matrix.n} alternatives")
+    flat, rows, cols = matrix._present
+    logs = np.log(m.values.take(flat)) if m is matrix else m.logs
     return float(((logs - (x[rows] - x[cols])) ** 2).sum())
 
 

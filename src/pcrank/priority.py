@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class PriorityVector:
     normalization: Normalization = "sum"
 
     def __post_init__(self) -> None:
+        if self.normalization not in get_args(Normalization):
+            raise ValueError(f"unknown normalization {self.normalization!r}")
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d array")
@@ -49,7 +51,7 @@ def normalize(weights: np.ndarray, normalization: Normalization = "sum") -> Prio
     """Scale positive weights: to unit sum, to unit maximum, or not at all.
 
     Raises UnrepresentableWeightsError when a scaled weight is not a
-    positive finite float.
+    positive finite float, then ValueError for an unknown normalization.
     """
     w = np.asarray(weights, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf / inf
@@ -57,8 +59,6 @@ def normalize(weights: np.ndarray, normalization: Normalization = "sum") -> Prio
             w = w / w.sum()
         elif normalization == "max":
             w = w / w.max()
-        elif normalization != "none":
-            raise ValueError(f"unknown normalization {normalization!r}")
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise UnrepresentableWeightsError("weights are not representable in double precision")
     return PriorityVector(w, normalization)

@@ -719,7 +719,29 @@ class TestPrepare:
 
     def test_shares_the_matrix_mask(self):
         m = example4()
-        assert prepare(m).matrix.missing_mask is m.missing_mask
+        p = prepare(m)
+        assert p.matrix.missing_mask is m.missing_mask
+        assert p.rows is m._present[1] and p.cols is m._present[2]
+
+    def test_finds_present_entries_once(self, monkeypatch):
+        """np.flatnonzero runs over the missing mask once, when the matrix is
+        first asked for its present entries; the completed matrix is never
+        asked."""
+        m = example4()
+        w = np.full(m.n, 1 / m.n)
+        flatnonzero, shapes = np.flatnonzero, []
+
+        def counting(a):
+            if np.ndim(a) == 2:
+                shapes.append(np.shape(a))
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        validate(m)
+        p = prepare(m)
+        s_star(m, w)
+        complete_matrix(p)
+        assert shapes == [(4, 4)]
 
     def test_raises_typed_error_with_full_report(self):
         disconnected = parse_matrix("1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n")

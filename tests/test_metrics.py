@@ -97,6 +97,16 @@ class TestSStar:
         with pytest.raises(ValueError):
             s_star(example4(), np.array([1.0, -1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.3, 0.2, 0.7], [0.5, 0.5]], ids=["longer", "shorter"])
+    def test_rejects_weights_of_another_length(self, weights):
+        m = parse_matrix("1,2,?\n1/2,1,3\n?,1/3,1\n")
+        message = f"dimension mismatch: {len(weights)} weights for 3 alternatives"
+        for matrix in (m, prepare(m)):
+            with pytest.raises(ValueError, match=message):
+                s_star(matrix, np.array(weights))
+        with pytest.raises(ValueError, match=message):
+            method_report("gm", m, normalize(np.array(weights)), {})
+
     @pytest.mark.parametrize(
         "n, p, log_range",
         [(2, 0.0, LOG9), (7, 0.4, LOG9), (40, 0.9, LOG9), (40, 0.5, 700.0)],
@@ -232,7 +242,7 @@ class TestNormalize:
         assert issubclass(UnrepresentableWeightsError, ArithmeticError)
 
     def test_unknown_normalization(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown normalization 'median'$"):
             normalize(np.array([1.0, 2.0]), "median")
 
     @pytest.mark.parametrize(
@@ -241,8 +251,9 @@ class TestNormalize:
             ([[0.5, 0.5]], "sum", "1-d"),
             ([0.25, 0.5], "sum", "sum to 1"),
             ([0.5, 0.75], "max", "peak at 1"),
+            ([0.5, 0.5], "foo", "^unknown normalization 'foo'$"),
         ],
-        ids=["not-1d", "sum-not-1", "max-not-1"],
+        ids=["not-1d", "sum-not-1", "max-not-1", "unknown-name"],
     )
     def test_priority_vector_rejections(self, weights, normalization, message):
         with pytest.raises(ValueError, match=message):
