@@ -12,8 +12,12 @@ x_i = ln w_i and S_i the number of missing entries in row i,
 
 The left-hand matrix equals L + J, the graph Laplacian of the comparison
 graph plus the all-ones matrix, which is symmetric positive definite whenever
-the graph is connected — so the system has exactly one solution, found
-from one Cholesky factor and two triangular solves.  Exponentiating x
+the graph is connected — so the system has exactly one solution.  On a
+large sparse graph it is first sought by Jacobi-preconditioned conjugate
+gradients, whose product L x + sum(x) is taken over the edge list; otherwise,
+and whenever that iteration does not pass its backward-stable residual test
+within its step budget (see :func:`pcrank.linalg._cg`), it is found from one
+Cholesky factor of L + J and two triangular solves.  Exponentiating x
 recovers the weights; for a complete matrix this reduces to plain row
 geometric means.
 
@@ -26,9 +30,11 @@ too.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
-from .linalg import SingularMatrixError, solve
+from .linalg import _CG_WORK, SingularMatrixError, _cg, solve
 from .matrix import PCMatrix, Problem, _adopt, prepare
 from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 
@@ -46,11 +52,29 @@ def build_system(m: PCMatrix | Problem) -> np.ndarray:
     """
     p = prepare(m)
     system = p.matrix.missing_mask.astype(float)
-    system.flat[:: p.matrix.n + 1] = np.bincount(p.rows, minlength=p.matrix.n)
+    system.flat[:: p.matrix.n + 1] = p.matrix._present[3]
     return system
 
 
+def _edge_laplacian(p: Problem) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The product x -> L x of the comparison-graph Laplacian, over the edge
+    list; or None where the system is too small or dense for conjugate
+    gradients to pay, by :data:`pcrank.linalg._CG_WORK`.  (L x)_i is
+    count_i x_i less the sum of x_j over row i's present entries, the unit
+    diagonal's x_i included, so count_i - 1 is the degree."""
+    if p.matrix.n**3 < _CG_WORK * p.rows.size:
+        return None
+    counts, cols = p.matrix._present[3], p.cols
+    starts = np.cumsum(counts) - counts  # no row is empty: each holds its diagonal
+    return lambda x: counts * x - np.add.reduceat(x.take(cols), starts)
+
+
 def _solve_log_weights(p: Problem) -> np.ndarray:
+    laplacian = _edge_laplacian(p)
+    if laplacian is not None:  # L + J applied as L x plus sum(x); ||L + J||_inf = n
+        x = _cg(lambda x: laplacian(x) + x.sum(), p.matrix._present[3], p.rhs, p.matrix.n)
+        if x is not None:
+            return x
     try:
         return solve(build_system(p), p.rhs)
     except SingularMatrixError as e:  # impossible for connected graphs

@@ -55,7 +55,7 @@ def build_harker(m: PCMatrix | Problem) -> np.ndarray:
     p = prepare(m)
     n = p.matrix.n
     b = np.where(p.matrix.missing_mask, 0.0, p.matrix.values)
-    np.fill_diagonal(b, n + 1 - np.bincount(p.rows, minlength=n))
+    np.fill_diagonal(b, n + 1 - p.matrix._present[3])
     return b
 
 

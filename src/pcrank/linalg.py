@@ -1,9 +1,13 @@
-"""Small dense linear-algebra kernel: Cholesky solves and the dominant
-eigenpair of a nonnegative matrix.
+"""Small linear-algebra kernel: Cholesky solves, conjugate gradients, and
+the dominant eigenpair of a nonnegative matrix.
 
 Every linear system pcrank solves on a validated matrix is symmetric positive
 definite, so the one direct solver is Cholesky: numpy's LAPACK factor, then a
-forward and a backward substitution by row blocks.  This module adds the
+forward and a backward substitution by row blocks.  On large sparse systems
+GM and LLS first try Jacobi-preconditioned conjugate gradients
+(:func:`_cg`), whose product they take over the edge list without building
+a matrix; a solution that does not pass a backward-stable residual test
+within the step budget falls back to Cholesky.  This module adds the
 contracts the solvers rely on (an explicit singularity guard relative to the
 matrix max-norm, and a residual-checked dominant eigenpair, found by power
 steps and then Noda's iteration, or on small matrices by one LAPACK
@@ -13,6 +17,7 @@ eigensolve whose vector passes the iteration's own final test).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -41,6 +46,20 @@ _BLOCK = 32
 #: against 290-330 us at n = 8, 270-300 against 280-340 us at n = 24, and
 #: 360-380 against 300-365 us at n = 28; beyond that the iteration is faster.
 _EIG_MAX_N = 24
+
+#: Conjugate gradients (:func:`_cg`) are tried on a system of n unknowns whose
+#: product reads m stored entries (the edge list, diagonal included) when
+#: n**3 >= _CG_WORK * m: a Cholesky factor costs n^3 / 3 flops, and a CG
+#: step's product reads the m entries.
+#: On random matrices with 90 % of pairs missing, one BLAS thread, a 2-core
+#: x86-64 VM, GM's CG against the build and Cholesky solve of its matrix took
+#: 0.5-1.0 against 0.4-0.6 ms at n = 140 (n^3 / m = 1315), 0.55-0.9 against
+#: 0.5-0.7 ms at 160 (1515), 0.5-0.9 against 0.6-1.0 ms at 180 (1714) and
+#: 1.2 against 8.6 ms at 600 (5911).
+_CG_WORK = 1700
+
+#: :func:`_cg` accepts x when max|A x - b| <= _CG_TOL * (||A|| max|x| + max|b|).
+_CG_TOL = 16 * float(np.finfo(float).eps)
 
 #: The smallest normal double, the spacing of the doubles below it, the largest.
 _TINY = float(np.finfo(float).tiny)
@@ -95,6 +114,58 @@ def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         b = x[s:e] - low[e:, s:e].T @ x[e:] if e < x.size else x[s:e]  # nor the bottom one
         x[s:e] = np.linalg.solve(low[s:e, s:e].T, b)
     return x
+
+
+def _cg(
+    product: Callable[[np.ndarray], np.ndarray], diag: np.ndarray, rhs: np.ndarray, norm: float
+) -> np.ndarray | None:
+    """x solving A x = rhs by Jacobi-preconditioned conjugate gradients
+    (Hestenes & Stiefel, 1952) from x = 0, or None.
+
+    A is symmetric positive definite, ``product(v)`` returns A v, ``diag`` is
+    A's diagonal and ``norm`` is at least ||A||_inf.  The solution must pass
+    the test max|A x - rhs| <= _CG_TOL * (norm * max|x| + max|rhs|), a
+    backward-stable solve's residual (Cholesky's bound has a further factor
+    of n).  When the residual the iteration updates passes it, the residual
+    is recomputed as rhs - A x and replaces it, and x is returned if that one
+    passes too.  None after max(n // 5, 1) steps, n = rhs.size, or on a
+    breakdown: d' A d not positive, or NaN, for a search direction d, or a
+    bound that is not finite.
+
+    The budget covers random matrices with 90 % of pairs missing at every
+    size that :data:`_CG_WORK` lets through (GM took about 25 steps at
+    n = 180 and 18 at n = 600) and with 99 % missing at n = 600 (43 steps);
+    sparser graphs at small n run out of it (95 % missing at n = 160 needs
+    34).  Where CG converges slowly, as on a path graph, the budget is
+    spent before the fall-back: 120 steps took 3.5-3.9 ms
+    before an 8.7-10.6 ms Cholesky solve at n = 600, 60 steps about 1.5 ms
+    before 1.2-1.4 ms at n = 300, and 32 steps 0.6-0.7 ms before 0.3-0.45 ms
+    at n = 160.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = r / diag
+    d = z.copy()
+    rz = float(r @ z)
+    floor = _CG_TOL * float(np.abs(rhs).max())
+    for _ in range(max(rhs.size // 5, 1)):
+        ad = product(d)
+        dad = float(d @ ad)
+        if not dad > 0.0:  # also NaN
+            return None
+        alpha = rz / dad
+        x += alpha * d
+        r -= alpha * ad
+        bound = _CG_TOL * norm * float(np.abs(x).max()) + floor
+        if float(np.abs(r).max()) <= bound:
+            r = rhs - product(x)
+            if float(np.abs(r).max()) <= bound < math.inf:
+                return x
+        z = r / diag
+        rz, last = float(r @ z), rz
+        d *= rz / last
+        d += z
+    return None
 
 
 def power_iteration(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +100,22 @@ def _check_labels(labels: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+class _FirstUse:
+    """A value computed on first use and kept in the instance's ``__dict__``,
+    where later reads find it before this descriptor: a
+    ``functools.cached_property`` without the lock that Python 3.11 takes on
+    every first use."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class PCMatrix:
     """Square grid of positive ratios with NaN marking missing comparisons.
@@ -112,7 +127,8 @@ class PCMatrix:
     connectivity.  ``missing_mask`` is the read-only bool (n, n) array, True
     where the comparison is missing; it is computed once, here, and shared.
     The private ``_present`` holds the present entries' read-only flat
-    indices, rows and columns, row-major with the diagonal, from first use.
+    indices, rows and columns, row-major with the diagonal, and each row's
+    count of them, from first use.
     """
 
     values: np.ndarray
@@ -146,10 +162,11 @@ class PCMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @cached_property
-    def _present(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @_FirstUse
+    def _present(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         flat = np.flatnonzero(~self.missing_mask)
-        edges = (flat, *np.divmod(flat, self.n))
+        rows, cols = np.divmod(flat, self.n)
+        edges = (flat, rows, cols, np.bincount(rows, minlength=self.n))
         for a in edges:
             a.setflags(write=False)
         return edges
@@ -507,7 +524,7 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     v, n = m.values, m.n
     adj = graph_of(m)
-    flat, rows, cols = m._present
+    flat, rows, cols, counts = m._present
     violations: list[Violation] = []
 
     diag = np.diag(v)
@@ -541,7 +558,8 @@ def validate(m: PCMatrix, tol: float = DEFAULT_TOL) -> ValidationReport:
                 detail = f"{given[k]:g} * {mirror[k]:g} != 1"
                 violations.append(Violation(NON_RECIPROCAL, i, j, detail))
 
-    for i in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist():
+    # rows whose one present entry, if any, is the diagonal
+    for i in np.flatnonzero(counts == ~np.isnan(diag)).tolist():
         violations.append(Violation(ROW_ALL_MISSING, i, i, "no comparisons in this row"))
 
     components = connected_components(adj)
@@ -591,7 +609,7 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
         if report.kinds() <= _CONNECTIVITY_KINDS:
             raise DisconnectedGraphError(report)
         raise InvalidMatrixError(report)
-    flat, rows, cols = m._present
+    flat, rows, cols, _ = m._present
     logs = np.log(m.values.take(flat))
     rhs = np.bincount(rows, logs, m.n)
     rhs -= np.bincount(cols, logs, m.n)

@@ -60,7 +60,7 @@ def s_star(m: PCMatrix | Problem, w: PriorityVector | np.ndarray) -> float:
     matrix = m.matrix if isinstance(m, Problem) else m
     if x.size != matrix.n:
         raise ValueError(f"dimension mismatch: {x.size} weights for {matrix.n} alternatives")
-    flat, rows, cols = matrix._present
+    flat, rows, cols, _ = matrix._present
     logs = np.log(m.values.take(flat)) if m is matrix else m.logs
     return float(((logs - (x[rows] - x[cols])) ** 2).sum())
 

@@ -11,6 +11,8 @@ __all__ = ["Normalization", "PriorityVector", "UnrepresentableWeightsError", "no
 
 Normalization = Literal["sum", "max", "none"]
 
+_NAMES = get_args(Normalization)
+
 _SCALE_TOL = 1e-12
 
 
@@ -28,13 +30,18 @@ class PriorityVector:
     normalization: Normalization = "sum"
 
     def __post_init__(self) -> None:
-        if self.normalization not in get_args(Normalization):
+        if self.normalization not in _NAMES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d array")
         if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be positive and finite")
+        self._own(w)
+
+    def _own(self, w: np.ndarray) -> None:
+        """Check the scale of ``w``, a non-empty 1-d float array of positive
+        finite weights, and keep it read-only."""
         if self.normalization == "sum" and abs(w.sum() - 1.0) > _SCALE_TOL:
             raise ValueError("sum-normalized weights must sum to 1")
         if self.normalization == "max" and abs(w.max() - 1.0) > _SCALE_TOL:
@@ -53,12 +60,17 @@ def normalize(weights: np.ndarray, normalization: Normalization = "sum") -> Prio
     Raises UnrepresentableWeightsError when a scaled weight is not a
     positive finite float, then ValueError for an unknown normalization.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.array(weights, dtype=float)  # the vector keeps this copy
     with np.errstate(over="ignore", invalid="ignore"):  # inf / inf
         if normalization == "sum":
-            w = w / w.sum()
+            w /= w.sum()
         elif normalization == "max":
-            w = w / w.max()
+            w /= w.max()
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise UnrepresentableWeightsError("weights are not representable in double precision")
-    return PriorityVector(w, normalization)
+    if normalization not in _NAMES or w.ndim != 1 or w.size == 0:
+        return PriorityVector(w, normalization)  # raises the constructor's ValueError
+    v = object.__new__(PriorityVector)
+    object.__setattr__(v, "normalization", normalization)
+    v._own(w)
+    return v

@@ -743,6 +743,24 @@ class TestPrepare:
         complete_matrix(p)
         assert shapes == [(4, 4)]
 
+    def test_counts_each_row_once(self, monkeypatch):
+        """The per-row counts of present entries come from one np.bincount,
+        with the present entries, and every builder and validate read them."""
+        m = example4()
+        bincount, counted = np.bincount, []
+
+        def counting(x, weights=None, minlength=0):
+            if weights is None:
+                counted.append(len(x))
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        validate(m)
+        p = prepare(m)
+        build_system(p), build_lls_system(p, 2), build_harker(p)
+        assert counted == [10]  # 4 diagonal and 6 off-diagonal entries
+        assert np.array_equal(m._present[3], [2, 2, 3, 3])
+
     def test_raises_typed_error_with_full_report(self):
         disconnected = parse_matrix("1,2,?,?\n1/2,1,?,?\n?,?,1,3\n?,?,1/3,1\n")
         with pytest.raises(DisconnectedGraphError) as exc:

@@ -238,6 +238,15 @@ class TestNormalize:
         with pytest.raises(UnrepresentableWeightsError):
             normalize(np.array(weights))
 
+    @pytest.mark.parametrize("normalization", ["sum", "max", "none"])
+    def test_keeps_its_own_copy(self, normalization):
+        given = np.array([1.0, 3.0])
+        v = normalize(given, normalization)
+        given[0] = 5.0  # still the caller's, and writable
+        assert v.weights[0] == {"sum": 0.25, "max": 1 / 3, "none": 1.0}[normalization]
+        with pytest.raises(ValueError):
+            v.weights[0] = 2.0
+
     def test_typed_error_is_arithmetic(self):
         assert issubclass(UnrepresentableWeightsError, ArithmeticError)
 
