@@ -35,7 +35,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .linalg import _CG_WORK, SingularMatrixError, _cg, solve
-from .matrix import PCMatrix, Problem, _adopt, prepare
+from .matrix import PCMatrix, Problem, _adopt, _row_starts, prepare
 from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 
 __all__ = ["build_system", "rank_gm", "complete_matrix"]
@@ -64,15 +64,17 @@ def _edge_laplacian(p: Problem) -> Callable[[np.ndarray], np.ndarray] | None:
     diagonal's x_i included, so count_i - 1 is the degree."""
     if p.matrix.n**3 < _CG_WORK * p.rows.size:
         return None
-    counts, cols = p.matrix._present[3], p.cols
-    starts = np.cumsum(counts) - counts  # no row is empty: each holds its diagonal
+    counts, cols, starts = p.matrix._present[3], p.cols, _row_starts(p)
     return lambda x: counts * x - np.add.reduceat(x.take(cols), starts)
 
 
 def _solve_log_weights(p: Problem) -> np.ndarray:
     laplacian = _edge_laplacian(p)
-    if laplacian is not None:  # L + J applied as L x plus sum(x); ||L + J||_inf = n
-        x = _cg(lambda x: laplacian(x) + x.sum(), p.matrix._present[3], p.rhs, p.matrix.n)
+    if laplacian is not None:  # L + J applied as L x plus sum(x)
+        # The test's norm is ||L||_inf = 2 max degree, not ||L + J||_inf = n:
+        # b sums to 0, so at the solution J x = sum(x) is about 0.
+        counts = p.matrix._present[3]
+        x = _cg(lambda x: laplacian(x) + x.sum(), counts, p.rhs, 2.0 * float(counts.max() - 1))
         if x is not None:
             return x
     try:

@@ -11,7 +11,10 @@ within the step budget falls back to Cholesky.  This module adds the
 contracts the solvers rely on (an explicit singularity guard relative to the
 matrix max-norm, and a residual-checked dominant eigenpair, found by power
 steps and then Noda's iteration, or on small matrices by one LAPACK
-eigensolve whose vector passes the iteration's own final test).
+eigensolve whose vector passes the iteration's own final test).  The steps
+(:func:`_iterate`) take the matrix's product as a function, so Harker's
+method runs its power steps over the edge list on large sparse graphs and
+builds its matrix only if they reach the Noda steps.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ _CG_WORK = 1700
 
 #: :func:`_cg` accepts x when max|A x - b| <= _CG_TOL * (||A|| max|x| + max|b|).
 _CG_TOL = 16 * float(np.finfo(float).eps)
+
+#: :func:`power_iteration`'s default tolerance and step budget.
+_TOL, _MAX_ITER = 1e-12, 100_000
 
 #: The smallest normal double, the spacing of the doubles below it, the largest.
 _TINY = float(np.finfo(float).tiny)
@@ -123,7 +129,9 @@ def _cg(
     (Hestenes & Stiefel, 1952) from x = 0, or None.
 
     A is symmetric positive definite, ``product(v)`` returns A v, ``diag`` is
-    A's diagonal and ``norm`` is at least ||A||_inf.  The solution must pass
+    A's diagonal and ``norm`` bounds max|A x| / max|x| at the solution:
+    ||A||_inf, or for GM's L + J, whose J x is about 0 there, ||L||_inf.
+    The solution must pass
     the test max|A x - rhs| <= _CG_TOL * (norm * max|x| + max|rhs|), a
     backward-stable solve's residual (Cholesky's bound has a further factor
     of n).  When the residual the iteration updates passes it, the residual
@@ -134,7 +142,7 @@ def _cg(
 
     The budget covers random matrices with 90 % of pairs missing at every
     size that :data:`_CG_WORK` lets through (GM took about 25 steps at
-    n = 180 and 18 at n = 600) and with 99 % missing at n = 600 (43 steps);
+    n = 180 and 18 at n = 600) and with 99 % missing at n = 600 (about 38);
     sparser graphs at small n run out of it (95 % missing at n = 160 needs
     34).  Where CG converges slowly, as on a path graph, the budget is
     spent before the fall-back: 120 steps took 3.5-3.9 ms
@@ -169,7 +177,7 @@ def _cg(
 
 
 def power_iteration(
-    a: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000
+    a: np.ndarray, tol: float = _TOL, max_iter: int = _MAX_ITER
 ) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a nonnegative irreducible matrix.
 
@@ -217,14 +225,32 @@ def power_iteration(
         pair = _eigensolve(a, tol)
         if pair is not None:
             return pair
+    return _iterate(lambda v: a @ v, lambda: a, n, tol, max_iter)[:2]
+
+
+def _iterate(
+    product: Callable[[np.ndarray], np.ndarray],
+    matrix: Callable[[], np.ndarray],
+    n: int,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The power and Noda steps of :func:`power_iteration` on an n x n matrix
+    a, given as ``product(v)`` = a @ v and as ``matrix()``, which returns a
+    and is called at most once: at the first Noda step, or for the error of
+    a zero entry.  So a caller with a cheaper product than a @ v need not
+    build a unless the power steps do not converge.  Returns (lam, v, av)
+    with av = product(v) from the last step.
+    """
     switch = max(n // 3, 1)
-    noda = None
+    a = noda = None
     v = np.full(n, 1.0 / n)
-    av = a @ v
+    av = product(v)
     residual = np.inf
     with np.errstate(all="ignore"):  # overflow is handled below, and by _Noda
         for step in range(max_iter):
             if step == switch:
+                a = matrix()
                 noda = _Noda(a)
             y = noda.step(v, av) if noda else None
             if y is None:
@@ -240,9 +266,9 @@ def power_iteration(
                     av = av / av.max()
                     lam = float(av.sum())
                 v = av / lam
-                av = a @ v  # checks this step's residual and seeds the next step
+                av = product(v)  # checks this step's residual and seeds the next step
             else:
-                v, av = y, a @ y
+                v, av = y, product(y)
                 lam = float(av.sum())
             error = np.abs(av - lam * v)
             residual = float(error.max())
@@ -250,8 +276,8 @@ def power_iteration(
                 noda is None or _settled(a, v, error, lam, tol)
             ):
                 if (v > 0).all():
-                    return lam, v
-                raise _zero_entry_error(a)
+                    return lam, v, av
+                raise _zero_entry_error(matrix() if a is None else a)
     raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
 
 

@@ -281,14 +281,21 @@ def _read_tokens(data: list[tuple[int, str]]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-#: Bytes of data rows the bulk reader takes: ``?``, decimals, commas.
-_BULK_BYTES = b"0123456789.eE+-?,"
+#: Bytes of data rows the bulk reader takes: ``?``, decimals, fractions, commas.
+_BULK_BYTES = b"0123456789.eE+-/?,"
+
+#: The bulk reader's fields, between commas, when the text holds a ``/``: a
+#: fraction whose sides are exact as doubles, or a field without ``/``,
+#: which float() reads or rejects.
+_BULK_FIELDS_RE = re.compile(rb"(?:(?:\+?[0-9]{1,15}/[0-9]{1,15}|[^,/]*),)*")
 
 
 def _read_bulk(lines: list[str]) -> np.ndarray | None:
-    """Data rows read at once when every field is ``?`` or a blank-free ASCII
-    decimal, every value is finite and positive, and the rows have equal
-    width; None otherwise, for :func:`_read_tokens` to read or reject.
+    """Data rows read at once when every field is ``?``, a blank-free ASCII
+    decimal or a fraction of two ASCII integers of at most 15 digits (only
+    the numerator signed, by ``+``), every value is finite and positive, and
+    the rows have equal width; None otherwise, for :func:`_read_tokens` to
+    read or reject.
 
     Only the present fields reach float(), which over the bytes ``[0-9.eE+-]``
     accepts exactly the language of _DECIMAL_RE, as _parse_token reads it.
@@ -305,9 +312,16 @@ def _read_bulk(lines: list[str]) -> np.ndarray | None:
     if not np.array_equal(sep_at[width::width], np.cumsum([len(line) + 1 for line in lines])):
         return None  # ragged rows
     missing = mark[1:][sep_at[:-1]]  # each field's first byte
-    try:
-        parsed = np.fromiter(map(float, kept.split(b",")[:-1]), dtype=float)
-    except ValueError:  # an empty field or a token outside _DECIMAL_RE
+    try:  # the fields' list is a temporary: on large texts it outweighs the values
+        if b"/" not in kept:
+            parsed = np.fromiter(map(float, kept.split(b",")[:-1]), dtype=float)
+        elif _BULK_FIELDS_RE.fullmatch(kept):  # a/b is int(a) / int(b): both sides are exact
+            split = [field.partition(b"/") for field in kept.split(b",")[:-1]]
+            parsed = np.array([float(a) / float(b) if b else float(a) for a, _, b in split])
+            del split
+        else:
+            return None
+    except (ValueError, ZeroDivisionError):  # an empty field or a token outside the language
         return None
     if not ((parsed > 0) & (parsed < math.inf)).all():
         return None
@@ -617,6 +631,14 @@ def prepare(m: PCMatrix | Problem, tol: float = DEFAULT_TOL) -> Problem:
     for a in (rhs, logs):
         a.setflags(write=False)
     return Problem(m, rhs, rows, cols, logs)
+
+
+def _row_starts(p: Problem) -> np.ndarray:
+    """Where each row's entries begin in the edge list, for
+    ``np.add.reduceat``; no row of a valid matrix is empty: each holds its
+    diagonal."""
+    counts = p.matrix._present[3]
+    return np.cumsum(counts) - counts
 
 
 def repair_reciprocal(m: PCMatrix) -> PCMatrix:

@@ -113,6 +113,27 @@ def consistent_incomplete(
             return m, v
 
 
+def sparse_matrix(
+    n: int, missing: float, rng: np.random.Generator, consistent: bool = False
+) -> PCMatrix:
+    """Reciprocal matrix, log ratios uniform in [-ln 9, ln 9] (or, consistent,
+    differences of log-weights uniform in [-ln 9 / 2, ln 9 / 2]), on a random
+    spanning tree plus each other pair with probability 1 - missing."""
+    tree = np.zeros((n, n), dtype=bool)
+    order = rng.permutation(n)
+    tree[order[1:], order[rng.integers(0, np.arange(1, n))]] = True  # to an earlier vertex
+    upper = np.triu((rng.random((n, n)) >= missing) | tree | tree.T, 1)
+    if consistent:
+        u = rng.uniform(-LOG9 / 2, LOG9 / 2, n)
+        ratios = np.subtract.outer(u, u)
+    else:
+        ratios = rng.uniform(-LOG9, LOG9, (n, n))
+    x = np.where(upper, ratios, np.nan)
+    x = np.where(upper.T, -x.T, x)
+    np.fill_diagonal(x, 0.0)
+    return PCMatrix(np.exp(x))
+
+
 def relabel(m: PCMatrix, perm: list[int]) -> PCMatrix:
     """Matrix whose alternative i is m's alternative perm[i]."""
     idx = np.asarray(perm)

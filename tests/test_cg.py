@@ -15,22 +15,9 @@ from pcrank.linalg import _CG_TOL, _CG_WORK, _cg, solve
 from pcrank.lls import _solve_lls
 from pcrank.matrix import PCMatrix, serialize_matrix
 
-from helpers import LOG9, run_cli
+from helpers import LOG9, run_cli, sparse_matrix
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
-
-
-def sparse_matrix(n: int, missing: float, rng: np.random.Generator) -> PCMatrix:
-    """Reciprocal matrix, log ratios uniform in [-ln 9, ln 9], on a random
-    spanning tree plus each other pair with probability 1 - missing."""
-    tree = np.zeros((n, n), dtype=bool)
-    order = rng.permutation(n)
-    tree[order[1:], order[rng.integers(0, np.arange(1, n))]] = True  # to an earlier vertex
-    upper = np.triu((rng.random((n, n)) >= missing) | tree | tree.T, 1)
-    x = np.where(upper, rng.uniform(-LOG9, LOG9, (n, n)), np.nan)
-    x = np.where(upper.T, -x.T, x)
-    np.fill_diagonal(x, 0.0)
-    return PCMatrix(np.exp(x))
 
 
 def path_matrix(n: int, rng: np.random.Generator) -> PCMatrix:
@@ -171,3 +158,14 @@ def test_complete_keeps_present_entries(cg_results):
     assert completed.values[present].tobytes() == m.values[present].tobytes()
     assert np.abs(completed.values * completed.values.T - 1.0).max() < 1e-12
     assert cg_results and cg_results[0] is not None
+
+
+@pytest.mark.parametrize("missing", [0.98, 0.99])
+def test_gm_matches_cholesky_on_very_sparse_graphs(cg_results, missing):
+    """GM's test takes ||L||_inf, as LLS's does, not ||L + J||_inf = n: at
+    the solution J x = sum(x) is about 0, since b sums to 0."""
+    for seed in range(3):
+        p = prepare(sparse_matrix(600, missing, np.random.default_rng([seed, 98])))
+        x = solve(build_system(p), p.rhs)
+        assert np.abs(_solve_log_weights(p) - x).max() <= 1e-13 * np.abs(x).max()
+    assert len(cg_results) == 3 and all(x is not None for x in cg_results)

@@ -36,6 +36,8 @@ from pcrank.matrix import (
     _LABELS_RE,
     _check_labels,
     _parse_token,
+    _read_bulk,
+    _read_tokens,
     ASYMMETRIC_MISSINGNESS,
     DIAGONAL_NOT_ONE,
     DISCONNECTED,
@@ -296,8 +298,69 @@ def test_bulk_text_makes_no_token_calls(monkeypatch):
     calls = record_calls(monkeypatch, _parse_token)
     parse_matrix("# labels: x,y,z\n1,?,2.5e-1\n?,1,3\n4,0.33333333333333331,1\n")
     assert calls == []
-    parse_matrix("1,1/2\n2,1\n")  # a fraction: read token by token
+    parse_matrix("1,1/2\n2,1\n")  # a fraction of short integers: read in bulk
+    assert calls == []
+    parse_matrix("1,1 / 2\n2,1\n")  # a blank inside a field: read token by token
     assert len(calls) == 4
+
+
+#: Fields of the bulk reader's language, fractions included.
+DIGITS = st.integers(1, 10**15 - 1).map(str)
+SIGNED = st.tuples(st.sampled_from(["", "+"]), DIGITS).map("".join)
+FRACTION_FIELDS = st.one_of(
+    st.just("?"),
+    SIGNED,
+    st.tuples(SIGNED, DIGITS).map("/".join),
+    st.tuples(SIGNED, st.integers(1, 10**12).map("{:015d}".format)).map("/".join),  # leading zeros
+    st.sampled_from(["1/3", "1/9", "9/1", "+1/7", "5/3", "999999999999999/1", "1/999999999999999"]),
+    POSITIVE.map(repr),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(FRACTION_FIELDS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_bulk_fractions_match_token_reference(rows):
+    """A fraction whose sides have at most 15 digits is read in bulk as
+    float(a) / float(b), bit for bit the token reader's int(a) / int(b)."""
+    lines = [",".join(row) for row in rows]
+    got = _read_bulk(lines)
+    assert got is not None
+    assert got.tobytes() == _read_tokens(list(enumerate(lines, start=1))).tobytes()
+
+
+#: Fractions the bulk reader declines, and what the token reader makes of
+#: them: an error message, or the value.
+DECLINED_FRACTIONS = [
+    ("1/0", "division by zero in '1/0'"),
+    ("1/-3", "invalid token '1/-3'"),
+    ("1/+3", "invalid token '1/+3'"),
+    ("1//3", "invalid token '1//3'"),
+    ("/3", "invalid token '/3'"),
+    ("3/", "invalid token '3/'"),
+    ("1/3/4", "invalid token '1/3/4'"),
+    ("1/3.0", "invalid token '1/3.0'"),
+    ("1e2/3", "invalid token '1e2/3'"),
+    ("+-1/3", "invalid token '+-1/3'"),
+    ("0/3", "entries must be positive, got '0/3'"),
+    ("00/7", "entries must be positive, got '00/7'"),
+    ("-1/3", "entries must be positive, got '-1/3'"),
+    (HUGE_FRACTION, f"numeral out of range {HUGE_FRACTION!r}"),
+    ("1234567890123456/3", 1234567890123456 / 3),
+    ("3/1234567890123456", 3 / 1234567890123456),
+    ("1 /3", 1 / 3),
+]
+
+
+@pytest.mark.parametrize("field, want", DECLINED_FRACTIONS, ids=[f for f, _ in DECLINED_FRACTIONS])
+def test_declined_fractions_keep_the_token_reader(field, want):
+    lines = [f"1,{field},?", "?,1,2", "?,1/2,1"]
+    assert _read_bulk(lines) is None
+    if isinstance(want, float):
+        assert parse_matrix("\n".join(lines)).values[0, 1] == want
+    else:
+        with pytest.raises(ParseError) as raised:
+            parse_matrix("\n".join(lines))
+        assert str(raised.value) == f"line 1, column 3: {want}"
 
 
 #: Texts at the edges of the bulk reader's language: each is read without a
