@@ -297,8 +297,11 @@ def _read_bulk(lines: list[str]) -> np.ndarray | None:
     the rows have equal width; None otherwise, for :func:`_read_tokens` to
     read or reject.
 
-    Only the present fields reach float(), which over the bytes ``[0-9.eE+-]``
-    accepts exactly the language of _DECIMAL_RE, as _parse_token reads it.
+    Only the present fields are converted.  Decimals are read in one
+    ``np.fromstring`` pass, which converts each field with the routine that
+    float() uses and stops at the first field it cannot read whole; over the
+    bytes ``[0-9.eE+-]`` float() accepts exactly the language of _DECIMAL_RE,
+    as _parse_token reads it.
     """
     # A comma before and after each field; non-ASCII text becomes escapes.
     raw = ",".join(["", *lines, ""]).encode("ascii", "backslashreplace")
@@ -312,16 +315,22 @@ def _read_bulk(lines: list[str]) -> np.ndarray | None:
     if not np.array_equal(sep_at[width::width], np.cumsum([len(line) + 1 for line in lines])):
         return None  # ragged rows
     missing = mark[1:][sep_at[:-1]]  # each field's first byte
-    try:  # the fields' list is a temporary: on large texts it outweighs the values
+    try:
         if b"/" not in kept:
-            parsed = np.fromiter(map(float, kept.split(b",")[:-1]), dtype=float)
+            # After a sentinel field "1", a field numpy cannot read whole is
+            # never last: numpy raises, or (older releases) warns and stops short.
+            parsed = np.fromstring(kept + b"1", sep=",")
+            if parsed.size != kept.count(b",") + 1:
+                return None
+            parsed = parsed[:-1]
         elif _BULK_FIELDS_RE.fullmatch(kept):  # a/b is int(a) / int(b): both sides are exact
+            # the fields' list is a temporary: on large texts it outweighs the values
             split = [field.partition(b"/") for field in kept.split(b",")[:-1]]
             parsed = np.array([float(a) / float(b) if b else float(a) for a, _, b in split])
             del split
         else:
             return None
-    except (ValueError, ZeroDivisionError):  # an empty field or a token outside the language
+    except (ValueError, ZeroDivisionError, DeprecationWarning):  # a field outside the language
         return None
     if not ((parsed > 0) & (parsed < math.inf)).all():
         return None

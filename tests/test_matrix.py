@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -382,9 +383,18 @@ GLUED_MARK_TEXTS = [
     "1,?35\n2,1\n",
     "1,2\n?35,1\n",
 ]
+#: Decimal texts whose last present field is outside the language: the bulk
+#: reader must decline each, whatever numpy makes of that field.
+DECLINED_DECIMAL_TEXTS = [
+    "1,2\n0.5,1e\n",
+    "1,2\n0.5,1-\n",
+    "1,2\n0.5,1.5.5\n",
+    "1,2,?\n0.5,1,?\n?,?,1e\n",  # followed only by ``?`` fields
+    "1,2\n0.5,\n",  # empty
+]
 
 
-@pytest.mark.parametrize("text", BULK_EDGE_TEXTS + GLUED_MARK_TEXTS)
+@pytest.mark.parametrize("text", BULK_EDGE_TEXTS + GLUED_MARK_TEXTS + DECLINED_DECIMAL_TEXTS)
 def test_bulk_edges_match_token_reference(text, monkeypatch):
     calls = record_calls(monkeypatch, _parse_token)
     got = parse_outcome(parse_matrix, text)
@@ -395,6 +405,75 @@ def test_bulk_edges_match_token_reference(text, monkeypatch):
     else:
         assert got == want
     assert (bulk_calls == 0) == (text in BULK_EDGE_TEXTS)
+
+
+def fromstring_of_older_numpy(data, sep):
+    """``np.fromstring(data, sep=sep)`` as numpy releases before the
+    unmatched-data error read text: each field's longest prefix that float()
+    reads is a value, and at the first field not read whole the reader warns
+    DeprecationWarning and returns the values so far."""
+    values = []
+    for field in data.split(sep.encode()):
+        end = len(field)
+        while end and not _reads_as_float(field[:end]):
+            end -= 1
+        if end:
+            values.append(float(field[:end]))
+        if end < len(field) or not field:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            break
+    return np.array(values)
+
+
+def _reads_as_float(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+@pytest.mark.parametrize("text", DECLINED_DECIMAL_TEXTS)
+def test_declined_decimals_without_the_unmatched_data_error(text, action, monkeypatch):
+    """Older numpy warns at an unreadable field and returns what it read, the
+    readable prefix ``1`` of ``1e`` included; the bulk reader still declines,
+    and the token reader reports the field."""
+    monkeypatch.setattr(np, "fromstring", fromstring_of_older_numpy)
+    want = parse_outcome(parse_by_tokens, text)
+    assert want[0] is ParseError
+    valid = "1,2,?\n0.5,1,3e0\n?,.25,1\n"  # read by the stand-in as numpy reads it
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert parse_outcome(parse_matrix, text) == want
+        assert parse_matrix(valid).equals(parse_by_tokens(valid))
+
+
+#: Decimal fields at the ends of the double range and in every written form.
+EDGE_DECIMALS = [
+    "5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308", "2.2250738585072009e-308",
+    "1.7976931348623157e308", "1E+308", "1e-300", "2.5E-2", "7e0", "+4", "007", ".25", "3.",
+    "0.10000000000000001", "0.33333333333333331", "123456789012345678901234567890",
+]
+
+
+@pytest.mark.parametrize("missing", [0.2, 0.9])
+def test_large_decimal_text_read_in_bulk(missing, monkeypatch):
+    """A 200 x 200 text of 17-digit reprs, exponent forms and the range's
+    ends: the bulk reader gives the token reader's bytes, with no token call."""
+    rng = np.random.default_rng(25)
+    n = 200
+    pool = np.array([*EDGE_DECIMALS, *map(repr, np.exp(rng.uniform(-700, 700, 400)).tolist())])
+    fields = pool[rng.integers(0, pool.size, (n, n))]
+    fields[rng.random((n, n)) < missing] = "?"
+    lines = [",".join(row) for row in fields.tolist()]
+    calls = record_calls(monkeypatch, _parse_token)
+    start = time.perf_counter()
+    got = _read_bulk(lines)
+    elapsed = time.perf_counter() - start
+    assert calls == [] and got is not None
+    assert got.tobytes() == _read_tokens(list(enumerate(lines, start=1))).tobytes()
+    assert elapsed < 1.0
 
 
 def accepted_label(name):
