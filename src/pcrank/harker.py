@@ -120,8 +120,8 @@ def rank_harker(m: PCMatrix | Problem, normalization: Normalization = "sum") -> 
     """Principal-eigenvector priority vector of Harker's completion.
 
     Raises ConvergenceError if the iteration does not converge, and
-    UnrepresentableWeightsError when the eigenvector underflows or the
-    eigenvalue overflows; callers presenting several methods side by side
-    should report that per method rather than abort.
+    UnrepresentableWeightsError when an eigenvector entry is below the
+    normal range or the eigenvalue overflows; callers presenting several
+    methods side by side should report that per method rather than abort.
     """
     return normalize(_solve_harker(prepare(m))[0], normalization)

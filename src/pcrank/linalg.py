@@ -185,10 +185,12 @@ def power_iteration(
     (:func:`_eigensolve`), when it passes the test below; otherwise power
     steps from the uniform vector (l1 renormalization each step), then Noda
     steps.  Returns (lam, v) with max|a @ v - lam * v| <= tol * lam *
-    max|v|, v strictly positive and summing to 1.  Raises ConvergenceError
-    after ``max_iter`` steps of either kind or when ``v`` has a zero entry,
-    except that with a positive diagonal a zero entry can only be underflow,
-    which raises UnrepresentableWeightsError.  Raises SingularMatrixError when
+    max|v|, every entry of v at least the smallest normal double and v
+    summing to 1.  Raises ConvergenceError after ``max_iter`` steps of either
+    kind or when ``v`` has an entry below the normal range, except that with
+    a positive diagonal, where the Perron vector has no zero entry, such an
+    entry is taken for underflow, which raises UnrepresentableWeightsError.
+    Raises SingularMatrixError when
     a power step maps ``v`` to the zero vector, as the zero matrix does.  A
     power step whose l1 norm of a v overflows rescales a v by its largest
     entry, unless min(a v / v) over the positive entries of v, a lower bound
@@ -203,7 +205,10 @@ def power_iteration(
     step, so also before every solve.  The test is absolute, and a vector
     whose small entries are wrong by orders of magnitude can pass it; Noda
     steps reach such vectors on wide-range matrices, so once they have begun
-    the test must also hold entry by entry (:func:`_settled`).  A Noda
+    the test must also hold entry by entry (:func:`_settled`).  An entry
+    below the normal range keeps only an absolute precision, the subnormal
+    spacing, and the entries it feeds in a @ v can pass that test however
+    wrong they are, so no vector with one is returned.  A Noda
     step shifts at the largest double when its bound overflows, and gives
     way to a power step when it cannot be taken in floating point.
 
@@ -238,9 +243,9 @@ def _iterate(
     """The power and Noda steps of :func:`power_iteration` on an n x n matrix
     a, given as ``product(v)`` = a @ v and as ``matrix()``, which returns a
     and is called at most once: at the first Noda step, or for the error of
-    a zero entry.  So a caller with a cheaper product than a @ v need not
-    build a unless the power steps do not converge.  Returns (lam, v, av)
-    with av = product(v) from the last step.
+    an entry below the normal range.  So a caller with a cheaper product
+    than a @ v need not build a unless the power steps do not converge.
+    Returns (lam, v, av) with av = product(v) from the last step.
     """
     switch = max(n // 3, 1)
     a = noda = None
@@ -273,9 +278,9 @@ def _iterate(
             error = np.abs(av - lam * v)
             residual = float(error.max())
             if residual <= tol * lam * float(np.abs(v).max()) and (
-                noda is None or _settled(a, v, error, lam, tol)
+                noda is None or _settled(v, error, lam, tol)
             ):
-                if (v > 0).all():
+                if (v >= _TINY).all():
                     return lam, v, av
                 raise _zero_entry_error(matrix() if a is None else a)
     raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
@@ -300,21 +305,14 @@ def _eigensolve(a: np.ndarray, tol: float) -> tuple[float, np.ndarray] | None:
         lam = float(av.sum())
         error = np.abs(av - lam * v)
         passed = 0.0 < lam < math.inf and error.max() <= tol * lam * v.max()
-        return (lam, v) if passed and _settled(a, v, error, lam, tol) else None
+        return (lam, v) if passed and _settled(v, error, lam, tol) else None
 
 
-def _settled(a: np.ndarray, v: np.ndarray, error: np.ndarray, lam: float, tol: float) -> bool:
-    """Whether error = |a v - lam v| is within tol * lam * v_i at every i.
-
-    Entries below the normal range carry only an absolute precision, the
-    subnormal spacing, so each may add that spacing times its column of a
-    (and lam its own) to the error of every entry it feeds.  A slack that
-    overflows bounds nothing, and fails the test.  Runs under the caller's
-    ``np.errstate``.
-    """
-    below = v < _TINY
-    slack = ((a @ below + lam) if below.any() else lam) * (v.size * _SUBNORMAL)
-    return bool((error <= tol * lam * v + slack).all() and np.isfinite(slack).all())
+def _settled(v: np.ndarray, error: np.ndarray, lam: float, tol: float) -> bool:
+    """Whether error = |a v - lam v| is within tol * lam * v_i at every i,
+    give or take lam * n subnormal spacings of rounding (n spacings first:
+    lam * n can overflow).  Runs under the caller's ``np.errstate``."""
+    return bool((error <= tol * lam * v + lam * (v.size * _SUBNORMAL)).all())
 
 
 def _zero_entry_error(a: np.ndarray) -> Exception:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,22 +101,6 @@ def _check_labels(labels: tuple[str, ...]) -> None:
         seen.add(name)
 
 
-class _FirstUse:
-    """A value computed on first use and kept in the instance's ``__dict__``,
-    where later reads find it before this descriptor: a
-    ``functools.cached_property`` without the lock that Python 3.11 takes on
-    every first use."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class PCMatrix:
     """Square grid of positive ratios with NaN marking missing comparisons.
@@ -162,7 +147,7 @@ class PCMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @_FirstUse
+    @cached_property
     def _present(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         flat = np.flatnonzero(~self.missing_mask)
         rows, cols = np.divmod(flat, self.n)

@@ -35,7 +35,8 @@ CIRCULANT_TEXT = "".join(
 )
 
 #: A valid 6x6 with log ratios near +-700 whose weights fit in no method.
-#: Harker's entry-by-entry test meets a slack that overflows on it.
+#: Harker's Noda steps reach vectors with subnormal entries whose columns of
+#: B sum past the largest double.
 SLACK_OVERFLOW_TEXT = """\
 1,?,4.5279069997730377e-302,1,1,2.5543344923845443e-306
 ?,1,?,8.9089871001455654e+307,1.5520006910937627e-308,2.9180042054366013e-304
@@ -44,6 +45,42 @@ SLACK_OVERFLOW_TEXT = """\
 1,6.4432960999215564e+307,1.7723989471352072e-306,1.309430505692202e+308,1,5.4090400244830558e+305
 3.9149140528829938e+305,3.4269998587969024e+303,1.1883946484991687e-308,?,1.848756887495153e-306,1
 """
+
+#: Valid matrices whose Harker Perron vector has an entry below the smallest
+#: double, by draw (0-based) of ``tests/wide_range_search.py``'s
+#: ``default_rng(7)`` search on [300, 708].  mpmath's eigensolver at 1500
+#: digits puts the smallest entry, of the vector summing to 1, at 1.4e-390,
+#: 1.1e-324, 1.0e-427 and 1.67e-340, and draw 2933's lambda_max at 1.70e118.
+#: Noda steps once ended on an entry of 5e-324 or 9.9e-324 here, with the
+#: normal-range weights wrong too: lambda_max = 4.83e123 on draw 2933.
+SUBNORMAL_PERRON_TEXTS = {
+    339: """\
+1,7.3069399992408248e-198,?,?,2.1643860007416396e-197
+1.3685619426242693e+197,1,8.9820028246731089e+185,?,?
+?,1.1133374365604187e-186,1,1.5769586556473306e+240,1.1189606740388813e-162
+?,?,6.3413203410174811e-241,1,7.2333357510397358e+165
+4.6202479578843332e+196,?,8.9368645672819448e+161,1.3824880171727932e-166,1
+""",
+    368: """\
+1,5.1442079577765813e-167,6.7911555685590289e-209,1.7410304457653922e-270
+1.9439338537787612e+166,1,8.3804449002136501e-224,3.5739894372024215e-131
+1.4725034493830385e+208,1.1932540717193978e+223,1,6.138624659136385e+285
+5.7437249442262321e+269,2.7979937198212895e+130,1.6290293926207982e-286,1
+""",
+    654: """\
+1,3.4107161746525553e+146,?,7.7258450228552128e-261
+2.9319355489961536e-147,1,4.7113356438272978e+219,1.9096245769366515e+215
+?,2.1225403486380362e-220,1,1.6169047879144779e-258
+1.2943567946829376e+260,5.2366313885850943e-216,6.184656063081016e+257,1
+""",
+    2933: """\
+1.0,1.4603231264375915e+187,5.669503116450171e+202,?,3.516795808573555e+221
+6.847799517079936e-188,1.0,6.008685428733644e+253,2.554327297348015e+157,1.2555361305204255e+287
+1.7638230008172692e-203,1.664257534964273e-254,1.0,3.727545144922431e-195,3.351043630799161e+253
+?,3.914925080424236e-158,2.682730754749342e+194,1.0,1.3991506709776556e+207
+2.8434974744968466e-222,7.964724994297817e-288,2.9841449714622748e-254,7.14719308465364e-208,1.0
+""",
+}
 
 
 def serialize_by_fstrings(m: PCMatrix) -> str:

@@ -29,6 +29,7 @@ from helpers import (
     EXAMPLE4_WEIGHTS,
     HUGE_FRACTION,
     SLACK_OVERFLOW_TEXT,
+    SUBNORMAL_PERRON_TEXTS,
     example4,
     random_incomplete,
     record_calls,
@@ -488,6 +489,33 @@ class TestOverflowingHarker:
         assert got["exit"] == 1
         assert got["stderr"] == "pcrank: compare: no method produced weights\n"
         assert [line.split()[0] for line in got["stdout"].splitlines()[1:4]] == ["gm", "lls", "harker"]
+
+    def test_rank_harker_with_a_subnormal_perron_entry(self):
+        got = run_cli(["rank", "--method", "harker"], SUBNORMAL_PERRON_TEXTS[2933])
+        assert got == {
+            "exit": 1,
+            "stdout": "",
+            "stderr": "pcrank: harker: eigenvector is not representable in double precision\n",
+        }
+
+    def test_compare_with_a_subnormal_perron_entry_and_no_weights(self):
+        got = run_cli(["compare"], SUBNORMAL_PERRON_TEXTS[2933])
+        assert got["exit"] == 1
+        assert got["stderr"] == "pcrank: compare: no method produced weights\n"
+        rows = got["stdout"].splitlines()[1:4]
+        assert [row.split()[:2] for row in rows] == [
+            ["gm", "ERROR:"],
+            ["lls", "ERROR:"],
+            ["harker", "ERROR:"],
+        ]
+
+    def test_compare_with_a_subnormal_perron_entry_beside_gm_and_lls(self):
+        got = run_cli(["compare"], SUBNORMAL_PERRON_TEXTS[339])
+        assert got["exit"] == 0 and got["stderr"] == ""
+        rows = got["stdout"].splitlines()[1:4]
+        assert [row.split()[0] for row in rows] == ["gm", "lls", "harker"]
+        assert "ERROR" not in rows[0] + rows[1]
+        assert rows[2] == "harker  ERROR: eigenvector is not representable in double precision"
 
 
 def test_console_script_installed(example_file):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcrank.harker
+import pcrank.linalg
 from pcrank import (
     DisconnectedGraphError,
     PCMatrix,
@@ -24,6 +26,7 @@ from helpers import (
     CHAIN_TEXT,
     CIRCULANT_TEXT,
     SLACK_OVERFLOW_TEXT,
+    SUBNORMAL_PERRON_TEXTS,
     consistent_complete,
     example4,
     random_complete,
@@ -208,6 +211,21 @@ def test_overflowing_slack_raises_no_warning():
     # past the largest double; the iteration still ends in a typed error.
     with pytest.raises(UnrepresentableWeightsError):
         rank_harker(parse_matrix(SLACK_OVERFLOW_TEXT))
+
+
+@pytest.mark.parametrize(
+    "eig_max_n", [pcrank.linalg._EIG_MAX_N, 0], ids=["eigensolve", "iteration"]
+)
+@pytest.mark.parametrize("edge_work", [pcrank.harker._EDGE_WORK, 0], ids=["dense", "edges"])
+@pytest.mark.parametrize("draw", sorted(SUBNORMAL_PERRON_TEXTS))
+def test_perron_entry_below_the_normal_range_raises(draw, edge_work, eig_max_n, monkeypatch):
+    # The Perron vector's smallest entry fits in no double.  Only the normal
+    # range carries relative precision, so no path may return an entry
+    # below it, however well the vector passes the residual tests.
+    monkeypatch.setattr(pcrank.linalg, "_EIG_MAX_N", eig_max_n)
+    monkeypatch.setattr(pcrank.harker, "_EDGE_WORK", edge_work)
+    with pytest.raises(UnrepresentableWeightsError, match="eigenvector is not representable"):
+        rank_harker(parse_matrix(SUBNORMAL_PERRON_TEXTS[draw]))
 
 
 def perron_vector(a: np.ndarray) -> np.ndarray:

@@ -235,7 +235,7 @@ def record_eig(monkeypatch) -> list:
 def passes_the_iteration_test(a: np.ndarray, lam: float, v: np.ndarray) -> bool:
     error = np.abs(a @ v - lam * v)
     within = error.max() <= 1e-12 * lam * v.max()
-    return bool(within and pcrank.linalg._settled(a, v, error, lam, 1e-12))
+    return bool(within and pcrank.linalg._settled(v, error, lam, 1e-12))
 
 
 class TestDirectEigensolve:
@@ -347,10 +347,8 @@ class TestNodaSafeguards:
         assert calls == []
 
 
-def test_overflowing_slack_is_not_settled():
-    # The two subnormal entries of v feed 2e308 to the error bound of each
-    # entry: a bound that says nothing, however large the error.
-    a = np.array([[1.0, 1e308, 1e308]] * 3)
-    v = np.array([1.0, 1e-320, 1e-320])
-    with np.errstate(over="ignore"):  # _settled runs under its caller's
-        assert not pcrank.linalg._settled(a, v, np.full(3, 1e300), 1.0, 1e-12)
+def test_settled_bound_fits_near_the_largest_double():
+    # lam * n overflows here; the rounding term lam * n * (subnormal spacing)
+    # must not, or it would settle any error.
+    v = np.full(12, 1 / 12)
+    assert not pcrank.linalg._settled(v, np.full(12, 1e300), 1e308, 1e-12)
