@@ -16,10 +16,11 @@ the graph is connected — so the system has exactly one solution.  On a
 large sparse graph it is first sought by Jacobi-preconditioned conjugate
 gradients, whose product L x + sum(x) is taken over the edge list; otherwise,
 and whenever that iteration does not pass its backward-stable residual test
-within its step budget (see :func:`pcrank.linalg._cg`), it is found from one
-Cholesky factor of L + J and two triangular solves.  Exponentiating x
-recovers the weights; for a complete matrix this reduces to plain row
-geometric means.
+within its step budget (see :func:`pcrank.linalg._cg`), it is found by one
+LU solve of L + J (``np.linalg.solve``).  No residual test follows that
+solve: LU with partial pivoting is backward stable on a positive definite
+system.  Exponentiating x recovers the weights; for a complete matrix this
+reduces to plain row geometric means.
 
 The right-hand side is taken as 1/2 sum_j (ln c[i,j] - ln c[j,i]), which
 equals the row sum above when every pair is exactly reciprocal.  On pairs
@@ -34,7 +35,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .linalg import _CG_WORK, SingularMatrixError, _cg, solve
+from .linalg import _CG_WORK, _cg
 from .matrix import PCMatrix, Problem, _adopt, _row_starts, prepare
 from .priority import Normalization, PriorityVector, UnrepresentableWeightsError, normalize
 
@@ -78,8 +79,8 @@ def _solve_log_weights(p: Problem) -> np.ndarray:
         if x is not None:
             return x
     try:
-        return solve(build_system(p), p.rhs)
-    except SingularMatrixError as e:  # impossible for connected graphs
+        return np.linalg.solve(build_system(p), p.rhs)
+    except np.linalg.LinAlgError as e:  # impossible for connected graphs
         raise RuntimeError(
             f"singular geometric-mean system for a validated matrix (n={p.matrix.n}, "
             f"missing per row {p.matrix.missing_mask.sum(axis=1).tolist()}); "

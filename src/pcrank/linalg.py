@@ -1,17 +1,16 @@
-"""Small linear-algebra kernel: Cholesky solves, conjugate gradients, and
-the dominant eigenpair of a nonnegative matrix.
+"""Small linear-algebra kernel: a guarded positive definite solve, conjugate
+gradients, and the dominant eigenpair of a nonnegative matrix.
 
 Every linear system pcrank solves on a validated matrix is symmetric positive
-definite, so the one direct solver is Cholesky: numpy's LAPACK factor, then a
-forward and a backward substitution by row blocks.  On large sparse systems
-GM and LLS first try Jacobi-preconditioned conjugate gradients
+definite.  GM and LLS solve theirs by one LU solve (``np.linalg.solve``), or
+on large sparse systems first by Jacobi-preconditioned conjugate gradients
 (:func:`_cg`), whose product they take over the edge list without building
 a matrix; a solution that does not pass a backward-stable residual test
-within the step budget falls back to Cholesky.  This module adds the
-contracts the solvers rely on (an explicit singularity guard relative to the
+within the step budget falls back to the LU solve.  This module also holds
+the public :func:`solve`, with an explicit singularity guard relative to the
 matrix max-norm, and a residual-checked dominant eigenpair, found by power
 steps and then Noda's iteration, or on small matrices by one LAPACK
-eigensolve whose vector passes the iteration's own final test).  The steps
+eigensolve whose vector passes the iteration's own final test.  The steps
 (:func:`_iterate`) take the matrix's product as a function, so Harker's
 method runs its power steps over the edge list on large sparse graphs and
 builds its matrix only if they reach the Noda steps.
@@ -38,11 +37,6 @@ __all__ = [
 #: something upstream is corrupt.
 PIVOT_RTOL = 1e-12
 
-#: Rows per block of the substitutions in :func:`solve`.  Each block costs one
-#: matrix-vector update and one small ``np.linalg.solve``; 32 was the fastest
-#: of 16-96 at n = 100-600, and every size up to 32 is a single block.
-_BLOCK = 32
-
 #: The largest n for which :func:`power_iteration` first tries one dense
 #: eigensolve.  Against power and Noda steps on random complete and Harker
 #: matrices, with one BLAS thread on a 2-core x86-64 VM, dgeev took 55-95
@@ -52,13 +46,16 @@ _EIG_MAX_N = 24
 
 #: Conjugate gradients (:func:`_cg`) are tried on a system of n unknowns whose
 #: product reads m stored entries (the edge list, diagonal included) when
-#: n**3 >= _CG_WORK * m: a Cholesky factor costs n^3 / 3 flops, and a CG
-#: step's product reads the m entries.
+#: n**3 >= _CG_WORK * m: an LU solve costs 2 n^3 / 3 flops, and a CG step's
+#: product reads the m entries.
 #: On random matrices with 90 % of pairs missing, one BLAS thread, a 2-core
-#: x86-64 VM, GM's CG against the build and Cholesky solve of its matrix took
-#: 0.5-1.0 against 0.4-0.6 ms at n = 140 (n^3 / m = 1315), 0.55-0.9 against
-#: 0.5-0.7 ms at 160 (1515), 0.5-0.9 against 0.6-1.0 ms at 180 (1714) and
-#: 1.2 against 8.6 ms at 600 (5911).
+#: x86-64 VM, GM's CG against the build and LU solve of its matrix took
+#: 0.46-0.84 against 0.15-0.27 ms at n = 140 (n^3 / m = 1315), 0.47-0.88
+#: against 0.25 ms at 180 (1714), 0.47-0.55 against 0.32-0.47 ms at 200 (1914),
+#: 0.49-0.54 against 0.48-0.49 ms at 240 (2313), 0.57-0.62 against 0.83-0.88 ms
+#: at 300 (2913) and 1.2-1.8 against 5.0-7.2 ms at 600 (5911).  So the two
+#: cost the same near n^3 / m = 2300, and from this cutoff up to there CG
+#: costs up to about twice the direct solve.
 _CG_WORK = 1700
 
 #: :func:`_cg` accepts x when max|A x - b| <= _CG_TOL * (||A|| max|x| + max|b|).
@@ -89,11 +86,21 @@ def _check_square(a: np.ndarray, rhs: np.ndarray | None = None) -> None:
 
 
 def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs for a symmetric positive definite ``a`` (Cholesky).
+    """Solve a @ x = rhs for a symmetric positive definite ``a``.
 
-    Raises SingularMatrixError when ``a`` is not positive definite or any
-    pivot falls below PIVOT_RTOL times the matrix max-norm, ValueError on
-    dimension mismatch or on an infinite or NaN entry in ``a`` or ``rhs``.
+    A Cholesky factor checks the contract, and one LU solve
+    (``np.linalg.solve``) gives x.  Raises SingularMatrixError when ``a`` is
+    not positive definite or any pivot falls below PIVOT_RTOL times the
+    matrix max-norm, ValueError on dimension mismatch or on an infinite or
+    NaN entry in ``a`` or ``rhs``.
+
+    GM and LLS call ``np.linalg.solve`` themselves, since their systems are
+    positive definite by construction.  Two factors cost more than one on
+    large systems.  On GM's systems of random matrices, one BLAS thread,
+    this took 17-19 us at n = 4-12, where the Cholesky factor followed by
+    triangular substitutions in 32-row blocks took 25-28 us; the two were
+    level near n = 150; at n = 300 this took 1.5-2.1 against 1.0 ms, and at
+    n = 600 8.4-8.6 against 3.8-4.0 ms.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -109,17 +116,7 @@ def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if (np.diag(low) ** 2 < PIVOT_RTOL * scale).any():
         raise SingularMatrixError("pivot below singularity threshold")
 
-    x = rhs.copy()
-    starts = range(0, x.size, _BLOCK)
-    for s in starts:  # low @ y = rhs, top block first; y overwrites x
-        e = s + _BLOCK
-        b = x[s:e] - low[s:e, :s] @ x[:s] if s else x[s:e]  # the top block has no update
-        x[s:e] = np.linalg.solve(low[s:e, s:e], b)
-    for s in reversed(starts):  # low.T @ x = y, bottom block first
-        e = s + _BLOCK
-        b = x[s:e] - low[e:, s:e].T @ x[e:] if e < x.size else x[s:e]  # nor the bottom one
-        x[s:e] = np.linalg.solve(low[s:e, s:e].T, b)
-    return x
+    return np.linalg.solve(a, rhs)
 
 
 def _cg(
@@ -133,10 +130,10 @@ def _cg(
     ||A||_inf, or for GM's L + J, whose J x is about 0 there, ||L||_inf.
     The solution must pass
     the test max|A x - rhs| <= _CG_TOL * (norm * max|x| + max|rhs|), a
-    backward-stable solve's residual (Cholesky's bound has a further factor
-    of n).  When the residual the iteration updates passes it, the residual
-    is recomputed as rhs - A x and replaces it, and x is returned if that one
-    passes too.  None after max(n // 5, 1) steps, n = rhs.size, or on a
+    backward-stable solve's residual (a direct solve's bound has a further
+    factor of n).  When the residual the iteration updates passes it, the
+    residual is recomputed as rhs - A x and replaces it, and x is returned if
+    that one passes too.  None after max(n // 5, 1) steps, n = rhs.size, or on a
     breakdown: d' A d not positive, or NaN, for a search direction d, or a
     bound that is not finite.
 
@@ -145,9 +142,9 @@ def _cg(
     n = 180 and 18 at n = 600) and with 99 % missing at n = 600 (about 38);
     sparser graphs at small n run out of it (95 % missing at n = 160 needs
     34).  Where CG converges slowly, as on a path graph, the budget is
-    spent before the fall-back: 120 steps took 3.5-3.9 ms
-    before an 8.7-10.6 ms Cholesky solve at n = 600, 60 steps about 1.5 ms
-    before 1.2-1.4 ms at n = 300, and 32 steps 0.6-0.7 ms before 0.3-0.45 ms
+    spent before the fall-back: 120 steps took 2.9-3.0 ms
+    before a 5.1-5.2 ms LU solve at n = 600, 60 steps 1.07-1.11 ms
+    before 0.86-0.92 ms at n = 300, and 32 steps 0.52-0.53 ms before 0.19 ms
     at n = 160.
     """
     x = np.zeros_like(rhs)

@@ -9,8 +9,8 @@ L is singular (constant vectors are its nullspace), so one log-weight is
 anchored to zero; for a connected graph the remaining principal subsystem is
 symmetric positive definite and the normalized result does not depend on
 which alternative was anchored.  As for GM, a large sparse system is first
-solved by conjugate gradients over the edge list, and otherwise by Cholesky
-(see :func:`pcrank.linalg._cg`).
+solved by conjugate gradients over the edge list, and otherwise by one LU
+solve (see :func:`pcrank.linalg._cg`).
 
 The geometric-mean solver minimizes the same functional, so both agree to
 rounding error; this module exists as the independent cross-check.
@@ -23,7 +23,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .gm import _edge_laplacian, _from_log_weights
-from .linalg import _cg, solve
+from .linalg import _cg
 from .matrix import PCMatrix, Problem, prepare
 from .priority import Normalization, PriorityVector, normalize
 
@@ -57,7 +57,7 @@ def _solve_lls(p: Problem, anchor: int = 0) -> tuple[np.ndarray, dict]:
         x = _cg_anchored(p, laplacian, a)
         if x is not None:
             return _from_log_weights(p, x)
-    x = solve(build_lls_system(p, a), np.concatenate((p.rhs[:a], p.rhs[a + 1 :])))
+    x = np.linalg.solve(build_lls_system(p, a), np.concatenate((p.rhs[:a], p.rhs[a + 1 :])))
     return _from_log_weights(p, np.concatenate((x[:a], [0.0], x[a:])))
 
 

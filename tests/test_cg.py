@@ -1,5 +1,5 @@
 """GM and LLS by conjugate gradients over the edge list on large sparse
-matrices, and the Cholesky solve they fall back to everywhere else."""
+matrices, and the direct solve they fall back to everywhere else."""
 
 import json
 from pathlib import Path
@@ -75,8 +75,8 @@ def test_smallest_qualifying_is_near_the_cutoff():
 @pytest.mark.parametrize("m", [SMALLEST, LARGE], ids=lambda m: f"n{m.n}")
 def test_weights_match_cholesky(cg_results, m):
     """GM and LLS at three anchors take the CG solution, within 1e-12 of the
-    Cholesky solve, and each passes the backward-stable residual test
-    against the dense matrix."""
+    guarded solve (`linalg.solve`), and each passes the backward-stable
+    residual test against the dense matrix."""
     p = prepare(m)
     n = m.n
     a = build_system(p)

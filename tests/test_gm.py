@@ -5,7 +5,6 @@ import pcrank.gm
 from pcrank import (
     DisconnectedGraphError,
     InvalidMatrixError,
-    SingularMatrixError,
     UnrepresentableWeightsError,
     build_system,
     complete_matrix,
@@ -14,6 +13,9 @@ from pcrank import (
     prepare,
     rank_gm,
 )
+from pcrank.gm import _solve_gm
+from pcrank.linalg import _CG_TOL
+from pcrank.lls import _solve_lls
 
 from helpers import (
     CHAIN_TEXT,
@@ -22,7 +24,9 @@ from helpers import (
     random_complete,
     random_incomplete,
     relabel,
+    sparse_matrix,
 )
+from wide_range_search import draws
 
 
 def row_geometric_means(values: np.ndarray) -> np.ndarray:
@@ -186,10 +190,50 @@ def test_tolerance_is_set_by_prepare():
 
 
 def test_singular_system_on_valid_input_is_an_internal_error(monkeypatch):
-    def singular(a, rhs):
-        raise SingularMatrixError("pivot below singularity threshold")
-
-    monkeypatch.setattr(pcrank.gm, "solve", singular)
+    monkeypatch.setattr(pcrank.gm, "build_system", lambda p: np.zeros((p.matrix.n,) * 2))
     with pytest.raises(RuntimeError, match="singular geometric-mean system") as exc:
         rank_gm(example4())
-    assert isinstance(exc.value.__cause__, SingularMatrixError)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+def _ahp_sized():
+    rng = np.random.default_rng(0)
+    return [random_incomplete(int(rng.integers(3, 13)), rng, rng.uniform(0, 0.5)) for _ in range(400)]
+
+
+def _wide_range():
+    """The valid ones of the first 300 draws of ``wide_range_search.py``'s
+    [300, 708] search."""
+    valid = []
+    for m in draws(7, 300.0, 708.0, 300):
+        try:
+            valid.append(prepare(m))
+        except InvalidMatrixError:
+            pass
+    return valid
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [_ahp_sized, _wide_range, lambda: [sparse_matrix(300, 0.2, np.random.default_rng(30))]],
+    ids=["ahp_sized", "wide_range", "n300"],
+)
+def test_every_direct_solve_is_backward_stable(monkeypatch, matrices):
+    """GM and LLS solve each system by one LU solve, whose solution passes
+    the conjugate gradients' test: max|A x - b| <= 16 eps (||A||_inf max|x|
+    + max|b|), also where exp(x) overflows."""
+    problems = [prepare(m) for m in matrices()]
+    systems, lu = [], np.linalg.solve
+
+    def recording(a, b):
+        x = lu(a, b)
+        systems.append((a, b, x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    for p in problems:
+        _solve_gm(p), _solve_lls(p)
+    assert len(systems) == 2 * len(problems)
+    for a, b, x in systems:
+        norm = np.abs(a).sum(axis=1).max()
+        assert np.abs(a @ x - b).max() <= _CG_TOL * (norm * np.abs(x).max() + np.abs(b).max())

@@ -18,10 +18,14 @@ with an entry below the smallest normal double, and the errors by type:
     PYTHONPATH=src python tests/wide_range_search.py
 
 ``--save FILE`` writes every outcome, weights bit for bit, as JSON.
-``--against FILE`` lists every draw whose outcome differs from the one
-saved there, method by method, and exits 1 if any does.  So a run from a
-parent checkout with ``--save`` and one from a changed checkout with
-``--against`` list exactly the outcomes the change moves.
+``--against FILE`` compares each outcome with the one saved there, and
+exits 1 if any differs.  Per search and method it prints how many weight
+vectors moved only in their bits, with the largest relative change of an
+entry, over all entries and over those in the normal range; then it lists,
+draw by draw, every other outcome that differs: the class (weights, or the
+error's type) or the message moved, or the draw's validity.  So a run from
+a parent checkout with ``--save`` and one from a changed checkout with
+``--against`` show exactly the outcomes the change moves.
 """
 
 from __future__ import annotations
@@ -109,14 +113,41 @@ def summary(found: dict[str, dict[str, str]]) -> list[str]:
 
 
 def moved(found: dict[str, dict[str, str]], saved: dict[str, dict[str, str]]) -> list[str]:
-    """One line per draw and method whose outcome differs, the draw's validity included."""
+    """One line per method on the weight vectors that moved only in their
+    bits, then one per draw and method whose outcome differs otherwise, the
+    draw's validity included."""
+    bits: dict[str, list[tuple[float, float]]] = {name: [] for name in METHODS}
     lines = []
     for k in sorted(found.keys() | saved.keys(), key=int):
         for name in METHODS:
             was, now = (d.get(k, {}).get(name, "invalid") for d in (saved, found))
-            if was != now:
+            if was == now:
+                continue
+            if was.startswith("weights ") and now.startswith("weights "):
+                bits[name].append(_relative_change(was, now))
+            else:
                 lines.append(f"  draw {k} {name}: {_brief(was)} -> {_brief(now)}")
-    return lines
+    summary = []
+    for name, changes in bits.items():
+        if changes:
+            every, normal = (max(c[i] for c in changes) for i in (0, 1))
+            summary.append(
+                f"  {name:<7}{len(changes)} weight vectors moved only in their bits, by at most "
+                f"{every:.2g} relative ({normal:.2g} over normal-range entries)"
+            )
+        else:
+            summary.append(f"  {name:<7}no weight vector moved in its bits")
+    return summary + (lines or ["  no other outcome moved"])
+
+
+def _relative_change(was: str, now: str) -> tuple[float, float]:
+    """The largest |new - old| / max(old, new) over two weight vectors'
+    entries, and over the entries that are normal doubles in both."""
+    old, new = (np.array([float.fromhex(w) for w in got.split()[1:]]) for got in (was, now))
+    scale = np.maximum(old, new)
+    change = np.abs(new - old) / np.where(scale > 0.0, scale, 1.0)
+    normal = (old >= TINY) & (new >= TINY)
+    return float(change.max()), float(change.max(where=normal, initial=0.0))
 
 
 def _brief(got: str) -> str:
@@ -143,9 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         print(name)
         print("\n".join(summary(found)))
         if saved is not None:
-            lines = moved(found, saved.get(name, {}))
-            differs |= bool(lines)
-            print("\n".join(lines) if lines else "  no outcome moved")
+            previous = saved.get(name, {})
+            differs |= found != previous
+            print("\n".join(moved(found, previous)))
     if args.save:
         with open(args.save, "w") as fh:
             json.dump(everything, fh)
